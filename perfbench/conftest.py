@@ -1,0 +1,10 @@
+"""Pytest set-up for the benchmark's own tests: import the program from
+``src/`` and the benchmark modules from this directory."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE.parent / "src", HERE):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
