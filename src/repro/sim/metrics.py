@@ -100,12 +100,6 @@ class MetricsCollector:
         self._barrier_wait_ms = 0.0
         self._shard_imbalance = 1.0
         self._shards = 1
-        # Local-market reconciliation counters (see repro.sim.shards,
-        # ``market="local"``).  Gated like the shard counters: the keys
-        # only appear in `batch_summary()` after `apply_reconcile_stats`,
-        # so coordinator-market and single-process summaries are
-        # byte-stable.
-        self._reconcile_stats_applied = False
         self._reconcile_barriers = 0
         self._reconcile_interval = 1
         self._reconcile_lag_ticks_max = 0
@@ -177,21 +171,6 @@ class MetricsCollector:
         barrier_wait_ms: float = 0.0,
         shard_imbalance: float = 1.0,
         shards: int = 1,
-    ) -> None:
-        """Snapshot a sharded run's coordination counters.
-
-        Called once by :class:`repro.sim.shards.ShardedFederation` at
-        the end of a multi-process run; arms the shard keys of
-        :meth:`batch_summary` (single-process summaries stay unchanged).
-        """
-        self._shard_stats_applied = True
-        self._cross_shard_bids += int(cross_shard_bids)
-        self._barrier_wait_ms += float(barrier_wait_ms)
-        self._shard_imbalance = float(shard_imbalance)
-        self._shards = int(shards)
-
-    def apply_reconcile_stats(
-        self,
         reconcile_barriers: int = 0,
         reconcile_interval: int = 1,
         reconcile_lag_ticks_max: int = 0,
@@ -200,20 +179,25 @@ class MetricsCollector:
         local_classes: int = 0,
         residual_classes: int = 0,
     ) -> None:
-        """Snapshot a local-market run's reconciliation counters.
+        """Snapshot a sharded run's coordination and reconciliation counters.
 
-        Called once by :class:`repro.sim.shards.ShardedFederation` at the
-        end of a ``market="local"`` run; arms the reconciliation keys of
-        :meth:`batch_summary`.  ``reconcile_lag_ticks_max`` is the widest
-        observed gap (in market ticks) between price-reconciliation
-        barriers — bounded by ``reconcile_interval`` during the trace;
+        Called once by :class:`repro.sim.shards.ShardedFederation` at
+        the end of a multi-process run; arms the shard keys of
+        :meth:`batch_summary` (single-process summaries stay unchanged).
+        ``reconcile_lag_ticks_max`` is the widest observed gap (in
+        period boundaries) between price-reconciliation barriers —
+        bounded by ``reconcile_interval`` during the trace;
         ``price_staleness_max`` is the largest per-lane price drift the
         coordinator's mirror had accumulated when a barrier refreshed it
         (the realised staleness the R-interval contract bounds);
         ``overlapped_frames`` counts the one-way frames posted without a
         reply barrier — the double-buffering depth actually used.
         """
-        self._reconcile_stats_applied = True
+        self._shard_stats_applied = True
+        self._cross_shard_bids += int(cross_shard_bids)
+        self._barrier_wait_ms += float(barrier_wait_ms)
+        self._shard_imbalance = float(shard_imbalance)
+        self._shards = int(shards)
         self._reconcile_barriers += int(reconcile_barriers)
         self._reconcile_interval = int(reconcile_interval)
         if int(reconcile_lag_ticks_max) > self._reconcile_lag_ticks_max:
@@ -362,7 +346,6 @@ class MetricsCollector:
             summary["barrier_wait_ms"] = self._barrier_wait_ms
             summary["shard_imbalance"] = self._shard_imbalance
             summary["shards"] = float(self._shards)
-        if self._reconcile_stats_applied:
             summary["reconcile_barriers"] = float(self._reconcile_barriers)
             summary["reconcile_interval"] = float(self._reconcile_interval)
             summary["reconcile_lag_ticks_max"] = float(

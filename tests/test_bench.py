@@ -34,7 +34,6 @@ REQUIRED_KERNELS = {
     "proto.codec",
     "e2e.federation_sweep",
     "fed.fig5a_1000node",
-    "fed.fig5a_sharded",
 }
 
 
@@ -82,7 +81,6 @@ class TestHarness:
     def test_sharded_kernel_is_wall_timed(self):
         # Parent CPU time misses the forked shard workers entirely; the
         # kernel must opt into wall-clock timing.
-        assert KERNELS["fed.fig5a_sharded"].wall_time
         assert KERNELS["fed.fig5a_localmarket"].wall_time
         assert not KERNELS["fed.fig5a_1000node"].wall_time
 

@@ -5,18 +5,20 @@ Three properties carry the whole design (see DESIGN.md §7):
 * ``shards=1`` is *byte-identical* to the single-process engine — the
   sharded front delegates outright, so every existing golden keeps
   pinning it;
-* ``shards>1`` is *invariant* across shard counts and worker modes —
-  every cross-node decision is made on the coordinator over globally
-  ordered events, and per-node state (latency RNG streams, busy clocks)
+* ``shards>1`` is *invariant* across shard counts, worker modes and
+  reconciliation intervals — each affinity component prices inside one
+  market plane, and per-node state (latency RNG streams, busy clocks)
   is keyed by node id, never by shard layout;
-* the cross-shard conversation is real protocol traffic — batched
-  ``BidRequest``/``Quote``/``PeriodTick`` messages through the
-  ``repro.protocol`` codec over the pipe-backed ``ShardTransport``.
+* the cross-shard conversation is real protocol traffic — encoded
+  ``BidRequest``/``Quote`` messages through the ``repro.protocol``
+  codec over ``ShardTransport``.
 """
 
 import functools
 import json
+import multiprocessing
 import pathlib
+import socket
 import time
 
 import pytest
@@ -45,8 +47,9 @@ from repro.sim import (
     plan_shards,
     split_market_classes,
 )
+from repro.sim import shards as shards_module
 from repro.sim.faults import derive_fault_seed
-from repro.sim.shards import _CORE_KINDS
+from repro.sim.shards import _CORE_KINDS, _hello_index, _WireChannel
 from repro.workload.trace import zipf_trace
 
 from test_golden_trace import _outcome_digest
@@ -66,7 +69,7 @@ def _small_world():
     return world, trace
 
 
-def _sharded(world, shards, mode="inline"):
+def _sharded(world, shards, mode="inline", interval=1):
     return ShardedFederation(
         world.specs,
         world.placement,
@@ -75,6 +78,7 @@ def _sharded(world, shards, mode="inline"):
         config=FederationConfig(seed=2),
         shards=shards,
         mode=mode,
+        reconcile_interval=interval,
     )
 
 
@@ -245,20 +249,33 @@ def test_sharded_1000node_golden_is_shard_count_invariant():
 
 
 def test_shard_transport_fanout_speaks_protocol():
-    """A BidRequest fan-out over ShardTransport returns decoded Quotes."""
-    world, __ = _small_world()
+    """A BidRequest fan-out over ShardTransport returns decoded Quotes.
+
+    Runs on the Zipf fixture: on the two-query world every class is
+    residual, so the shard planes hold no classes and send no quotes.
+    """
+    world, __ = _zipf_small()
     with _sharded(world, 2) as federation:
+        candidates = {
+            qc.index: tuple(sorted(qc.candidate_nodes(world.placement)))
+            for qc in world.classes
+        }
+        owner = split_market_classes(candidates, federation.plan)
+        k = min(k for k, s in owner.items() if s >= 0)
         transport = federation.transport
         peers = tuple(range(transport.num_shards))
         before = transport.messages
         result = transport.fanout(
-            -1, peers, BidRequest(qid=1, class_index=0, origin_node=-1)
+            -1, peers, BidRequest(qid=1, class_index=k, origin_node=-1)
         )
         assert result.delivered == peers
         assert result.replied == peers
         assert result.replies, "candidate servers must answer with quotes"
         assert all(isinstance(reply, Quote) for reply in result.replies)
-        assert all(reply.class_index == 0 for reply in result.replies)
+        assert all(reply.class_index == k for reply in result.replies)
+        assert sorted(reply.node_id for reply in result.replies) == list(
+            candidates[k]
+        )
         # One request leg + one reply batch per shard.
         assert transport.messages - before == 2 * len(peers)
 
@@ -301,7 +318,7 @@ def test_sharded_scaling_cell_shape():
 
 
 # ---------------------------------------------------------------------------
-# local market planes (market="local") — ownership, exactness, reconciliation
+# local market planes — ownership, exactness, reconciliation
 
 
 @functools.lru_cache(maxsize=1)
@@ -321,25 +338,11 @@ def _zipf_small():
     return world, trace
 
 
-def _local(world, shards, mode="inline", interval=1):
-    return ShardedFederation(
-        world.specs,
-        world.placement,
-        world.classes,
-        world.cost_model,
-        config=FederationConfig(seed=2),
-        shards=shards,
-        mode=mode,
-        market="local",
-        reconcile_interval=interval,
-    )
-
-
 @functools.lru_cache(maxsize=4)
 def _local_baseline(mechanism: str):
     """Canonical invariant payload: 2 inline shards, reconcile every tick."""
     world, trace = _zipf_small()
-    with _local(world, 2, "inline", 1) as federation:
+    with _sharded(world, 2, "inline", 1) as federation:
         return federation.run(list(trace), mechanism).invariant_payload()
 
 
@@ -360,16 +363,20 @@ def test_split_market_classes_component_granular():
             assert len(shards_touched) > 1
 
 
-def test_local_market_matches_coordinator_plane():
-    """The N+1-plane engine reproduces the coordinator-market decisions
-    bit for bit — the PR-level exactness contract (DESIGN.md §7)."""
-    world, trace = _zipf_small()
-    for mechanism in ("qa-nt", "greedy"):
-        with _sharded(world, 2) as federation:
-            coordinator = federation.run(
-                list(trace), mechanism
-            ).invariant_payload()
-        assert _local_baseline(mechanism) == coordinator
+def test_market_layout_other_than_local_is_rejected():
+    """Shard-local planes are the only sharded engine."""
+    world, __ = _small_world()
+    for market in ("coordinator", "global"):
+        with pytest.raises(ValueError, match="market"):
+            ShardedFederation(
+                world.specs,
+                world.placement,
+                world.classes,
+                world.cost_model,
+                shards=2,
+                mode="inline",
+                market=market,
+            )
 
 
 @pytest.mark.parametrize("mode", ["inline", "fork", "tcp"])
@@ -377,7 +384,7 @@ def test_local_market_invariant_across_transport_modes(mode):
     """Pipe, socket and inline planes make identical decisions — the tcp
     leg pins the JSON-frame wire's float round-trip on every CI run."""
     world, trace = _zipf_small()
-    with _local(world, 2, mode, interval=4) as federation:
+    with _sharded(world, 2, mode, interval=4) as federation:
         payload = federation.run(list(trace), "qa-nt").invariant_payload()
     assert payload == _local_baseline("qa-nt")
     assert payload["completed"] > 0
@@ -399,14 +406,14 @@ def test_local_market_invariance_property(shards, mode, interval, mechanism):
     modes and reconciliation intervals: reconciliation bounds *quote*
     staleness for cross-shard observers, never market arithmetic."""
     world, trace = _zipf_small()
-    with _local(world, shards, mode, interval) as federation:
+    with _sharded(world, shards, mode, interval) as federation:
         payload = federation.run(list(trace), mechanism).invariant_payload()
     assert payload == _local_baseline(mechanism)
 
 
 def test_reconcile_counters_surface_in_batch_summary():
     world, trace = _zipf_small()
-    with _local(world, 2, "inline", interval=4) as federation:
+    with _sharded(world, 2, "inline", interval=4) as federation:
         summary = federation.run(list(trace), "qa-nt").batch_summary()
     assert summary["reconcile_interval"] == 4.0
     assert summary["reconcile_barriers"] >= 1.0
@@ -415,18 +422,18 @@ def test_reconcile_counters_surface_in_batch_summary():
     assert summary["overlapped_frames"] > 0.0
     assert summary["local_classes"] > 0.0
     assert summary["local_classes"] + summary["residual_classes"] == 20.0
-    # Coordinator-market runs must NOT grow these keys: their goldens
+    # Single-process runs must NOT grow these keys: their goldens
     # serialise batch_summary() and would break.
-    with _sharded(world, 2) as federation:
-        coordinator = federation.run(list(trace), "qa-nt").batch_summary()
+    with _sharded(world, 1) as federation:
+        single = federation.run(list(trace), "qa-nt").batch_summary()
     for key in ("reconcile_barriers", "price_staleness_max"):
-        assert key not in coordinator
+        assert key not in single
         assert key not in MetricsCollector().batch_summary()
 
 
 def test_stale_quotes_and_prices_from_last_barrier():
     world, trace = _zipf_small()
-    with _local(world, 2, "inline", interval=4) as federation:
+    with _sharded(world, 2, "inline", interval=4) as federation:
         federation.run(list(trace), "qa-nt")
         candidates = sorted(world.classes[0].candidate_nodes(world.placement))
         quotes = federation.stale_quotes(0, now=0.0)
@@ -434,8 +441,8 @@ def test_stale_quotes_and_prices_from_last_barrier():
         assert all(est >= 0.0 for __, est in quotes)
         prices = federation.stale_prices(0)
         assert prices is not None and len(prices) == len(candidates)
-    # The bounded-staleness mirror only exists on local-market fronts.
-    with _sharded(world, 2) as federation:
+    # The bounded-staleness mirror only exists on sharded fronts.
+    with _sharded(world, 1) as federation:
         with pytest.raises(RuntimeError):
             federation.stale_quotes(0)
         with pytest.raises(RuntimeError):
@@ -446,7 +453,7 @@ def test_shard_self_time_feeds_profile_schema_v2():
     from repro.profiling import read_profile_payload
 
     world, trace = _zipf_small()
-    with _local(world, 2, "fork", interval=4) as federation:
+    with _sharded(world, 2, "fork", interval=4) as federation:
         federation.run(list(trace), "qa-nt")
         times = federation.shard_self_time_s()
     assert len(times) == 2
@@ -461,7 +468,7 @@ def test_tcp_workers_report_child_rss():
     """`bench --mem` coverage for socket workers: the collect barrier
     folds every tcp child's ru_maxrss into ``child_peak_kb()``."""
     world, trace = _zipf_small()
-    with _local(world, 2, "tcp", interval=4) as federation:
+    with _sharded(world, 2, "tcp", interval=4) as federation:
         federation.run(list(trace), "qa-nt")
         transport = federation.transport
         assert transport.child_peak_kb() > 0
@@ -534,13 +541,62 @@ def test_out_of_order_replies_keep_fixed_shard_merge(mode):
 
 
 # ---------------------------------------------------------------------------
+# tcp handshake validation
+
+
+@pytest.mark.parametrize(
+    "hello",
+    [
+        ["hello", 2],
+        ["hello", -1],
+        ["hello", 0],
+        ["hello", "1"],
+        ["hello", True],
+        ["hi", 1],
+        ["hello"],
+        {"hello": 1},
+    ],
+)
+def test_hello_index_rejects_bad_claims(hello):
+    """Out-of-range, negative, duplicate or malformed claims never wire."""
+    claimed = [object(), None]  # shard 0 is already taken
+    with pytest.raises(ValueError, match="hello"):
+        _hello_index(hello, claimed)
+    assert _hello_index(["hello", 1], claimed) == 1
+
+
+def _impostor_tcp_worker(host, port, index):
+    """A tcp worker that claims shard 0 whatever its real index."""
+    channel = _WireChannel(socket.create_connection((host, port)))
+    channel.send(["hello", 0])
+    try:
+        channel.recv()
+    except (EOFError, OSError):
+        pass
+
+
+def test_tcp_duplicate_hello_fails_fast_and_reaps_workers(monkeypatch):
+    monkeypatch.setattr(
+        shards_module, "_tcp_shard_worker", _impostor_tcp_worker
+    )
+    # Pools other tests keep alive in this process (bench kernels fork
+    # theirs once at setup) are not this transport's to reap.
+    before = set(multiprocessing.active_children())
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="hello"):
+        ShardTransport([{}, {}], mode="tcp")
+    assert time.perf_counter() - started < 5.0
+    assert set(multiprocessing.active_children()) <= before
+
+
+# ---------------------------------------------------------------------------
 # the local-market golden (shard/mode/R invariant by construction)
 
 
 def _localmarket_zipf_payload(shards: int, mode: str, interval: int) -> str:
     world, trace = _zipf_small()
     payload = {}
-    with _local(world, shards, mode, interval) as federation:
+    with _sharded(world, shards, mode, interval) as federation:
         for mechanism in ("qa-nt", "greedy"):
             payload[mechanism] = federation.run(
                 list(trace), mechanism
