@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import List
 
+from ..core.market_kernel import earliest
 from ..query.model import Query
 from .base import Allocator, AssignmentDecision
 
@@ -64,13 +65,12 @@ class GreedyAllocator(Allocator):
         ):
             # Vectorised probe scan: the registry tuple came back
             # unfiltered (no outages, fault-free), so the per-class view
-            # is cache-stable and one argmin replaces the per-node probe
-            # loop.  `estimates` is element-for-element the scalar probe
-            # and first-occurrence argmin over ascending node ids matches
-            # the tuple-min tie-break (lowest id at equal time).
+            # is cache-stable and the market kernel's earliest-completion
+            # match replaces the per-node probe loop (same floats, same
+            # lowest-id tie-break).
             view = fleet.class_view(query.class_index, candidates, nodes)
-            est = fleet.estimates(view, context.simulator.now)
-            chosen = int(view.ids[int(est.argmin())])
+            lane, __ = earliest(fleet.slot_free, view, context.simulator.now)
+            chosen = int(view.ids[lane])
             return AssignmentDecision(
                 chosen, delay_ms=delay, messages=messages
             )

@@ -1,71 +1,29 @@
 """Vectorised market-tick dispatch for the QA-NT bidding fan-out.
 
-PR 5's period engine batched the *boundary* (steps 12–14 + eq. 4); this
-module batches the other scalar frontier: the per-query request-for-bid
-exchange itself.  :class:`MarketTickDispatcher` mirrors the inlined
-bidder loop of :meth:`repro.allocation.qant.QantAllocator.assign` as a
-handful of numpy operations over per-class state arrays gathered from
-the precompiled bidder tuples:
-
-* offer test ``remaining >= 1.0`` over the whole candidate set at once;
-* bulk refusal bookkeeping — refusal counts, the steps-8/9 price raise
-  with the exact scalar clamp order, price-epoch deltas and the
-  incremental ``max_price`` — against agent-global auxiliary arrays;
-* the Section 5.1 activation rule (threshold test + enforce latch) as
-  mask arithmetic;
-* best-offer selection as a masked ``argmin`` over the fleet's shared
-  ``slot_free`` mirror (first-occurrence ``argmin`` over ascending node
-  ids reproduces the scalar strict-``<`` lowest-id tie-break).
-
-Bit-identity contract: every float is produced by the same IEEE-754
-operation sequence as the scalar loop, so goldens must not move with the
-dispatcher active.  Cached state is written back to the live agent lists
-by :meth:`MarketTickDispatcher.sync`, which the allocator calls at every
-period boundary, before any scalar fallback (partial fan-outs during
-outage windows), and from ``sync_market_state`` — the same observer
-contract the period engine's deferral uses.
-
-The auxiliary arrays are *agent-global* (indexed by fleet row), not
-per-class: an agent bidding in several classes shares one ``max_price``,
-one price epoch and one enforce latch across all of them, so raises from
-class *j*'s exchange must be visible to class *k*'s threshold test
-without a scatter/gather round trip.
+:class:`MarketTickDispatcher` answers the request-for-bid exchange of
+:meth:`repro.allocation.qant.QantAllocator.assign` with
+:class:`repro.core.market_kernel.Exchange` over the fleet's ``slot_free``
+mirror.  This module only moves state: it gathers each class's bidder
+state into kernel :class:`~repro.core.market_kernel.Lanes` per period,
+and :meth:`MarketTickDispatcher.sync` writes refusal/accept counts,
+prices, price epochs, max prices and latches back to the live agents —
+at every period boundary, before any scalar fallback (partial fan-outs
+during outage windows) and from ``sync_market_state``, the observer
+contract the period engine's deferral uses too.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Tuple
 
-try:  # Same optional posture as repro.sim.fleet; no numpy, no dispatcher.
-    import numpy as _np
-except ImportError:  # pragma: no cover - scalar paths cover this
-    _np = None
+import numpy as _np
+
+from ..core.market_kernel import SATURATED, Exchange, Lanes
 
 __all__ = [
     "BatchDispatchStats",
     "MarketTickDispatcher",
-    "refusal_raise",
 ]
-
-
-def refusal_raise(values, factor, floor, cap):
-    """Steps 8-9 price raise over a vector of refused lanes.
-
-    Returns ``(raised, changed)``: the new prices after one refusal raise
-    with the exact scalar clamp order (floor first, then cap —
-    max-then-min is identical for ``floor <= cap`` over these positive
-    finite values), and the boolean mask of lanes whose price actually
-    moved.  This is the single point of truth for the raise arithmetic:
-    the fleet-wide dispatcher below, the sharded coordinator's market
-    plane and every shard-local market plane
-    (:class:`repro.sim.shards._MarketPlane` — one dispatcher-equivalent
-    instance per shard) all call it, so bit-identity across engines is a
-    property of one function, not of N transcriptions.
-    """
-    raised = values * factor
-    _np.maximum(raised, floor, out=raised)
-    _np.minimum(raised, cap, out=raised)
-    return raised, raised != values
 
 
 class BatchDispatchStats:
@@ -93,31 +51,20 @@ class BatchDispatchStats:
         }
 
 
-class _ClassState:
-    """One class's candidate fan-out as arrays.
+class _ClassState(Lanes):
+    """One class's kernel lanes plus its bidder tuples.
 
-    ``ids``/``rows``/``costs``/``bidders`` are static for the federation's
-    lifetime; ``R``/``V``/``F``/``ACC`` (remaining supply, price values,
-    refusal counts, accepted counts — column ``class_index`` of each
-    bidder's live lists) are gathered lazily per period and dropped to
-    ``None`` at every :meth:`MarketTickDispatcher.sync`.
+    The lane state (column ``class_index`` of each bidder's live lists)
+    is gathered lazily per period and dropped to ``None`` at every
+    :meth:`MarketTickDispatcher.sync`.
     """
 
-    __slots__ = (
-        "class_index", "ids", "rows", "costs", "bidders",
-        "R", "V", "F", "ACC",
-    )
+    __slots__ = ("class_index", "bidders")
 
-    def __init__(self, class_index, ids, rows, costs, bidders) -> None:
+    def __init__(self, class_index, rows, costs, bidders) -> None:
+        super().__init__(rows, costs)
         self.class_index = class_index
-        self.ids = ids
-        self.rows = rows
-        self.costs = costs
         self.bidders = bidders
-        self.R = None
-        self.V = None
-        self.F = None
-        self.ACC = None
 
 
 class MarketTickDispatcher:
@@ -140,18 +87,13 @@ class MarketTickDispatcher:
         price_floor: float,
         price_cap: float,
     ) -> None:
-        self._fleet = fleet
         self._threshold = activation_threshold
-        self._factor = raise_factor
-        self._floor = price_floor
-        self._cap = price_cap
         self.stats = BatchDispatchStats()
         row_of = fleet.row_of
         self._states: Dict[int, _ClassState] = {}
         for class_index, bidders in bidders_by_class.items():
             self._states[class_index] = _ClassState(
                 class_index,
-                _np.array([b[0] for b in bidders], dtype=_np.int64),
                 _np.array(
                     [row_of[b[0]] for b in bidders], dtype=_np.intp
                 ),
@@ -161,39 +103,40 @@ class MarketTickDispatcher:
                 ),
                 bidders,
             )
-        # Agent-global auxiliary state, one row per fleet slot.  Rows
+        # Agent-global exchange state, one row per fleet slot.  Rows
         # whose node bids in no class keep a None agent and are never
         # touched.
-        num_rows = len(fleet.node_ids)
-        agents_by_row: List[object] = [None] * num_rows
+        self._market = Exchange(
+            fleet.slot_free, raise_factor, price_floor, price_cap,
+            activation_threshold,
+        )
+        agents_by_row: List[object] = [None] * len(fleet.node_ids)
         for bidders in bidders_by_class.values():
             for b in bidders:
                 agents_by_row[row_of[b[0]]] = b[1]
-        self._aux_agents = agents_by_row
-        self._aux_maxp = _np.zeros(num_rows, dtype=float)
-        self._aux_locked = _np.zeros(num_rows, dtype=bool)
-        self._aux_delta = _np.zeros(num_rows, dtype=_np.int64)
-        self._aux_fresh = False
+        self._agents_by_row = agents_by_row
+        self._market_fresh = False
 
     # -- gather ---------------------------------------------------------------
 
-    def _gather_aux(self) -> None:
+    def _gather_market(self) -> None:
         """Snapshot every agent's max price and enforce latch.
 
         Reading ``agent.max_price`` materialises the lazily-tracked
-        maximum; from here on the vector path maintains it incrementally,
+        maximum; from here on the exchange maintains it incrementally,
         which stays exact because prices only rise within a period and
         every raise updates the running maximum.
         """
-        maxp = self._aux_maxp
-        locked = self._aux_locked
-        self._aux_delta[:] = 0
-        for row, agent in enumerate(self._aux_agents):
+        market = self._market
+        maxp = market.maxp
+        locked = market.locked
+        market.epochs[:] = 0
+        for row, agent in enumerate(self._agents_by_row):
             if agent is None:
                 continue
             maxp[row] = agent.max_price
             locked[row] = agent._enforce_locked_at is not None
-        self._aux_fresh = True
+        self._market_fresh = True
 
     def _live_state(self, class_index: int) -> _ClassState:
         st = self._states[class_index]
@@ -225,60 +168,14 @@ class MarketTickDispatcher:
         path exactly as the scalar loop would).
         """
         st = self._live_state(class_index)
-        R = st.R
-        V = st.V
-        offers = R >= 1.0
-        refuse = _np.nonzero(~offers)[0]
-        if refuse.size:
-            if not self._aux_fresh:
-                self._gather_aux()
-            rows_r = st.rows[refuse]
-            # Steps 8-9 in bulk: one refusal count and one price raise per
-            # refusing bidder, with the scalar clamp order (floor first,
-            # then cap; max-then-min is identical for floor <= cap over
-            # these positive finite values).  Unchanged lanes are
-            # rewritten with identical bits, so the scatter stays exact.
-            st.F[refuse] += 1
-            new, changed = refusal_raise(
-                V[refuse], self._factor, self._floor, self._cap
-            )
-            V[refuse] = new
-            m = self._aux_maxp[rows_r]
-            if changed.any():
-                self._aux_delta[rows_r] += changed
-                # `maximum` matches the scalar `new > m` keep-or-replace:
-                # ties return the shared (positive) value bit-for-bit.
-                m = _np.maximum(m, new)
-                self._aux_maxp[rows_r] = m
-            threshold = self._threshold
-            if threshold is not None:
-                # Activation rule: a refusing node still *offers* while
-                # unlatched and below the threshold; at/above it the
-                # latch is set (and stays set for the period).
-                passed = ~self._aux_locked[rows_r]
-                passed &= m < threshold
-                self._aux_locked[rows_r] = ~passed
-                offers[refuse] = passed
-        if not offers.any():
-            # All-refuse exchange; saturated iff every price is pinned at
-            # the cap (with a threshold, the latch is then set on every
-            # bidder too — maxp >= cap >= threshold for any sane config,
-            # and the latch assignment above already ran).
-            self.stats.vector_exchanges += 1
-            return None, bool((V == self._cap).all())
-        sf = self._fleet.slot_free[st.rows]
-        # `maximum(sf, now)` is the scalar `sf if sf > now else now`:
-        # equal operands share one bit pattern (timestamps are
-        # non-negative, so no -0.0/+0.0 split is observable).
-        est = _np.maximum(sf, now)
-        est += st.costs
-        est = _np.where(offers, est, _np.inf)
-        winner = int(est.argmin())
-        if R[winner] >= 1.0:
-            R[winner] -= 1.0
-            st.ACC[winner] += 1
+        if not self._market_fresh:
+            # Once per period, before its first exchange.
+            self._gather_market()
+        lane, __ = self._market(st, now)
         self.stats.vector_exchanges += 1
-        return int(st.ids[winner]), False
+        if lane < 0:
+            return None, lane == SATURATED
+        return st.bidders[lane][0], False
 
     # -- scatter --------------------------------------------------------------
 
@@ -306,13 +203,14 @@ class MarketTickDispatcher:
                 b[4][k] = f_list[i]
                 b[1]._accepted[k] = acc_list[i]
             st.R = st.V = st.F = st.ACC = None
-        if self._aux_fresh:
+        if self._market_fresh:
             synced = True
             threshold = self._threshold
-            deltas = self._aux_delta.tolist()
-            maxps = self._aux_maxp.tolist()
-            lockeds = self._aux_locked.tolist()
-            for row, agent in enumerate(self._aux_agents):
+            market = self._market
+            deltas = market.epochs.tolist()
+            maxps = market.maxp.tolist()
+            lockeds = market.locked.tolist()
+            for row, agent in enumerate(self._agents_by_row):
                 if agent is None:
                     continue
                 delta = deltas[row]
@@ -328,6 +226,6 @@ class MarketTickDispatcher:
                     and agent._enforce_locked_at is None
                 ):
                     agent._enforce_locked_at = threshold
-            self._aux_fresh = False
+            self._market_fresh = False
         if synced:
             self.stats.syncs += 1

@@ -29,6 +29,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, Optional, Set, Tuple
 
+import numpy as _np
+
 from ..core.classification import (
     PrivatelyClassifiedAgent,
     cost_band_classification,
@@ -39,11 +41,6 @@ from ..core.supply import CapacitySupplySet
 from ..query.model import Query
 from .base import Allocator, AssignmentDecision
 from .market_tick import MarketTickDispatcher
-
-try:  # Optional, mirroring repro.sim.fleet: no numpy, no vector paths.
-    import numpy as _np
-except ImportError:  # pragma: no cover - scalar paths cover this
-    _np = None
 
 __all__ = [
     "QantAllocator",
@@ -760,12 +757,3 @@ class QantAllocator(Allocator):
         }
         cap = min(exec_ms.values()) * self._max_offer_premium
         return [nid for nid in offers if exec_ms[nid] <= cap]
-
-    def _node_enforcing(self, agent: QantPricingAgent) -> bool:
-        """Whether this node currently enforces its supply vector.
-
-        Decentralised: the decision uses only the node's own prices.
-        """
-        if self._activation_threshold is None:
-            return True
-        return agent.max_price >= self._activation_threshold

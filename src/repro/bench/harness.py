@@ -192,7 +192,8 @@ def run_benchmarks(
     """Run every registered kernel whose name contains ``name_filter``.
 
     Returns measurements keyed by kernel name, in registration order.
-    Each kernel's ``setup`` runs exactly once (outside the timed region).
+    Each kernel's ``setup`` runs exactly once (outside the timed region);
+    a ``close`` attribute on the returned callable runs after timing.
     ``measure_mem`` adds a traced (untimed) extra call per kernel
     recording its peak heap growth.
     """
@@ -214,6 +215,9 @@ def run_benchmarks(
         fn = kernel.setup()
         ns_per_op, inner = measure(fn, repeat=repeat, wall=kernel.wall_time)
         peak_kb = measure_peak(fn) if measure_mem else None
+        close = getattr(fn, "close", None)
+        if close is not None:  # kernels owning worker processes
+            close()
         results[kernel.name] = Measurement(
             name=kernel.name,
             description=kernel.description,

@@ -210,6 +210,62 @@ def _setup_qant_period_tick() -> Callable[[], object]:
 
 
 @register_kernel(
+    "market.exchange",
+    "Market-kernel request-for-bid exchange: 200 calls over 50 classes of "
+    "5-candidate lanes on 200 rows, from one opening state per op",
+)
+def _setup_market_exchange() -> Callable[[], object]:
+    import numpy as np
+
+    from ..core.market_kernel import Exchange, Lanes
+
+    rng = random.Random(_SEED + 5)
+    busy = np.array([rng.uniform(0.0, 500.0) for __ in range(200)])
+    market = Exchange(busy, 1.1, 1e-3, 10.0, 2.0)
+    books = []
+    for __ in range(50):
+        lanes = Lanes(
+            np.array(sorted(rng.sample(range(200), 5)), dtype=np.intp),
+            np.array([rng.uniform(50.0, 400.0) for __ in range(5)]),
+        )
+        lanes.F = np.zeros(5, dtype=np.int64)
+        lanes.ACC = np.zeros(5, dtype=np.int64)
+        books.append((lanes, [float(rng.randrange(3)) for __ in range(5)]))
+
+    def run_once() -> int:
+        market.maxp[:] = 1.0
+        market.locked[:] = False
+        for lanes, opening in books:
+            lanes.R = np.array(opening)
+            lanes.V = np.ones(5)
+        return sum(market(books[i % 50][0], 100.0)[0] >= 0 for i in range(200))
+
+    return run_once
+
+
+@register_kernel(
+    "market.solve_eq4",
+    "Market-kernel proportional eq. 4 over 400 rows x 200 classes of "
+    "sparse costs (1-4 evaluable classes per row, compact layout)",
+)
+def _setup_market_solve_eq4() -> Callable[[], object]:
+    import numpy as np
+
+    from ..core.market_kernel import SupplySolver
+
+    rng = random.Random(_SEED + 6)
+    costs = np.full((400, 200), math.inf)
+    for row in costs:
+        for k in rng.sample(range(200), rng.randint(1, 4)):
+            row[k] = rng.uniform(50.0, 2000.0)
+    solver = SupplySolver(costs, "proportional")
+    prices = np.array([rng.uniform(0.5, 3.0) for __ in range(solver.cols.size)])
+    prices.shape = solver.cols.shape
+    capacity = np.full(400, _CAPACITY_MS)
+    return lambda: solver.solve(slice(None), prices, capacity)
+
+
+@register_kernel(
     "sim.event_throughput",
     "Simulator schedule + drain of 1,000 events (fresh engine per op)",
 )
@@ -515,4 +571,5 @@ def _setup_fed_fig5a_localmarket() -> Callable[[], object]:
 
     run_once.child_peak_kb = federation.transport.child_peak_kb
     run_once.shard_self_time_s = federation.shard_self_time_s
+    run_once.close = federation.close
     return run_once

@@ -8,10 +8,9 @@ loops times N nodes times thousands of periods.  The boundary has no
 cross-agent coupling (prices are private, each agent owns its supply set)
 and draws no randomness, so it batches cleanly:
 
-* **vectorised across nodes** — the engine holds the N×K price, cost and
-  credit matrices plus the free-capacity vector in numpy and computes the
-  unsold-supply decay (``p_k -= s_ik λ p_k``) and the proportional /
-  greedy / greedy-fractional / fractional supply solves as array ops;
+* **vectorised across nodes** — the N×K price and credit matrices and
+  the free-capacity vector go through :mod:`repro.core.market_kernel`
+  (steps 12–14 decay, eq. 4, carry-over rounding) as array ops;
 * **incremental** — a row whose ``(price_epoch, free_capacity)`` pair is
   unchanged since its last solve reuses the cached optimal vector (the
   batched extension of the PR 2 ``(agent_token, price_epoch)`` memo with
@@ -28,14 +27,8 @@ and draws no randomness, so it batches cleanly:
 Bit-identity contract: the engine reproduces the scalar
 :meth:`~repro.core.qant.QantPricingAgent.begin_period` /
 :meth:`~repro.core.qant.QantPricingAgent.end_period` arithmetic to the
-last ulp — same operations, same order, same clamps — so the golden
-traces pinned in ``tests/golden/`` do not move.  The one numerically
-treacherous spot is the proportional solver's ``(density/top) **
-sharpness``: CPython routes ``float.__pow__`` through libm's ``pow``
-while numpy rewrites an exponent of 2.0 into a multiply, and the two
-differ in the last ulp for roughly 0.1% of inputs.  The weights therefore
-go through a scalar Python pow loop (over only the rows being solved)
-while everything around them is vectorised.
+last ulp (see :mod:`repro.core.market_kernel`), so the golden traces
+pinned in ``tests/golden/`` do not move.
 
 The agents' own Python lists stay authoritative for the *within*-period
 hot paths (the allocator's inlined fan-out holds live references via
@@ -51,6 +44,7 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
+from .market_kernel import BATCHED_METHODS, SupplySolver, carry_round, decay
 from .qant import QantPricingAgent
 from .supply import CapacitySupplySet
 from .vectors import QueryVector
@@ -60,18 +54,6 @@ __all__ = [
     "PeriodEngineStats",
     "QantPeriodEngine",
 ]
-
-#: Supply-solver methods the batched path replicates bit-for-bit.  The
-#: ``exact`` DP (and any non-capacity supply set) stays on the scalar
-#: per-agent fallback the allocator keeps for non-conforming agents.
-BATCHED_METHODS = frozenset(
-    {"proportional", "greedy", "greedy-fractional", "fractional"}
-)
-
-#: Mirrors the default ``sharpness`` of
-#: :meth:`repro.core.supply.CapacitySupplySet._solve_proportional`.
-_PROP_SHARPNESS = 2.0
-
 
 @dataclass
 class PeriodEngineStats:
@@ -132,17 +114,16 @@ class QantPeriodEngine:
                 raise ValueError("build the engine between periods")
         self._agents: List[QantPricingAgent] = agents
         self._num_classes = num_classes
-        self._method = params.supply_method
         self._carry = params.carry_over
         self._lam = params.adjustment
         self._floor = params.price_floor
         self._can_defer = bool(can_defer)
         n = len(agents)
         self._allowances = np.array([float(a) for a in allowances])
-        self._costs = np.array(
-            [agent.supply_set.cost_ms for agent in agents]
+        self._solver = SupplySolver(
+            [agent.supply_set.cost_ms for agent in agents],
+            params.supply_method,
         )
-        self._valid_cost = np.isfinite(self._costs)
         # Mirrors of the agents' live state.  Between boundaries the
         # agents' lists are authoritative (the allocator mutates them
         # in-place); the matrices are re-gathered at the next boundary
@@ -253,16 +234,9 @@ class QantPeriodEngine:
             # is the full planned vector and prices match our matrix.
             remaining = self._planned
 
-        # Steps 12-14, batched: every class with unsold supply decays,
-        # ``p_k *= max(0, 1 - leftover*lambda)`` clamped at the floor —
-        # the same expression (and clamp order) as the scalar
-        # ``_lower_price``, applied elementwise.
+        # Steps 12-14, batched over every agent and class.
         if self._started:
-            factor = 1.0 - remaining * self._lam
-            np.maximum(factor, 0.0, out=factor)
-            decayed = prices * factor
-            np.maximum(decayed, self._floor, out=decayed)
-            new_prices = np.where(remaining > 0.0, decayed, prices)
+            new_prices = decay(prices, remaining, self._lam, self._floor)
             changed = new_prices != prices
             row_counts = changed.sum(axis=1)
             changed_rows = np.nonzero(row_counts)[0]
@@ -298,23 +272,19 @@ class QantPeriodEngine:
         n_need = int(np.count_nonzero(need))
         if n_need:
             rows = np.nonzero(need)[0]
-            self._optimal[rows] = self._solve_rows(rows, capacities)
+            solver = self._solver
+            counts = solver.solve(
+                rows, solver.gather(prices[rows], rows), capacities[rows]
+            )
+            self._optimal[rows] = solver.scatter(counts, rows)
             self._prev_epochs[need] = self._epochs[need]
             self._prev_capacity[need] = capacities[need]
         self.stats.solved_rows += n_need
         self.stats.reused_rows += n - n_need
 
-        # Carry-over credit arithmetic (or plain rounding), batched.  The
-        # `+ 0.0` normalises a potential IEEE -0.0 from trunc/floor back
-        # to the +0.0 the scalar int()/math.floor() conversions produce.
-        if self._carry:
-            credit = self._credit
-            credit += self._optimal
-            planned = np.trunc(credit + 1e-9) + 0.0
-            credit -= planned
-        else:
-            planned = np.floor(self._optimal + 1e-9) + 0.0
-        self._planned = planned
+        planned = self._planned = carry_round(
+            self._optimal, self._credit if self._carry else None
+        )
         self._install()
         self._started = True
 
@@ -351,14 +321,8 @@ class QantPeriodEngine:
         self.stats.replayed_ticks += count
         if not self._carry:
             return
-        credit = self._credit
-        optimal = self._optimal
-        planned = self._planned
         for __ in range(count):
-            credit += optimal
-            planned = np.trunc(credit + 1e-9) + 0.0
-            credit -= planned
-        self._planned = planned
+            self._planned = carry_round(self._optimal, self._credit)
         self._install()
 
     def _install(self) -> None:
@@ -382,111 +346,3 @@ class QantPeriodEngine:
             agent._enforce_locked_at = None
             if credit_lists is not None:
                 agent._credit[:] = credit_lists[i]
-
-    # -- batched eq. 4 -------------------------------------------------------
-
-    def _solve_rows(
-        self, rows: np.ndarray, capacities: np.ndarray
-    ) -> np.ndarray:
-        """Solve eq. 4 for the row subset, bit-equal to the scalar solvers.
-
-        Shared front half of every method: densities ``p_k / c_k`` for
-        evaluable classes with positive prices (others pinned to -inf),
-        then a stable per-row sort by (-density, k) — `np.argsort` on the
-        negated matrix with ``kind="stable"`` reproduces the scalar
-        tuple-sort ordering including ties.
-        """
-        prices = self._prices[rows]
-        costs = self._costs[rows]
-        cap = capacities[rows]
-        valid = self._valid_cost[rows] & (prices > 0.0)
-        density = np.where(valid, prices / costs, -np.inf)
-        order = np.argsort(-density, axis=1, kind="stable")
-        density_s = np.take_along_axis(density, order, axis=1)
-        costs_s = np.take_along_axis(costs, order, axis=1)
-        method = self._method
-        if method == "proportional":
-            counts_s = self._solve_proportional_sorted(density_s, cap, costs_s)
-        elif method == "fractional":
-            counts_s = np.zeros_like(density_s)
-            has_any = density_s[:, 0] != -np.inf
-            counts_s[:, 0] = np.where(has_any, cap / costs_s[:, 0], 0.0)
-        else:  # greedy / greedy-fractional
-            counts_s = self._solve_greedy_sorted(
-                density_s, cap, costs_s, method == "greedy-fractional"
-            )
-        counts = np.zeros_like(counts_s)
-        np.put_along_axis(counts, order, counts_s, axis=1)
-        return counts
-
-    def _solve_proportional_sorted(
-        self, density_s: np.ndarray, cap: np.ndarray, costs_s: np.ndarray
-    ) -> np.ndarray:
-        """Batched `_solve_proportional` over density-sorted rows."""
-        num_classes = density_s.shape[1]
-        valid = density_s != -np.inf
-        top = density_s[:, 0]
-        # Scalar semantics: no evaluable class, or a best density that
-        # underflowed to zero, supplies nothing.
-        ok = top > 0.0
-        safe_top = np.where(ok, top, 1.0)
-        ratio = density_s / safe_top[:, None]
-        weights = np.zeros_like(ratio)
-        mask = valid & ok[:, None]
-        flat = ratio[mask]
-        if flat.size:
-            # Scalar pow on purpose: see the module docstring — numpy's
-            # `** 2.0` is not bit-equal to CPython's.
-            sharpness = _PROP_SHARPNESS
-            weights[mask] = [v ** sharpness for v in flat.tolist()]
-        # `total += weight` in density order; trailing invalid columns
-        # contribute an exact +0.0 so the fold matches the scalar sum.
-        total = weights[:, 0].copy()
-        for j in range(1, num_classes):
-            total += weights[:, j]
-        nonzero = total > 0.0
-        share = (cap[:, None] * weights) / np.where(nonzero, total, 1.0)[
-            :, None
-        ]
-        counts = share / costs_s
-        counts[~nonzero] = 0.0
-        counts[~mask] = 0.0
-        return counts
-
-    def _solve_greedy_sorted(
-        self,
-        density_s: np.ndarray,
-        cap: np.ndarray,
-        costs_s: np.ndarray,
-        fractional_tail: bool,
-    ) -> np.ndarray:
-        """Batched `_solve_greedy` over density-sorted rows.
-
-        The column loop replicates the scalar fill order exactly: class
-        columns are visited best-density first and each row's remaining
-        budget updates sequentially, including the `remaining < cost`
-        skip guard (masked here) that keeps a near-fitting class from
-        rounding up into the budget.
-        """
-        num_classes = density_s.shape[1]
-        valid = density_s != -np.inf
-        remaining = cap.copy()
-        counts = np.zeros_like(density_s)
-        for j in range(num_classes):
-            cost_j = costs_s[:, j]
-            active = valid[:, j] & (remaining >= cost_j)
-            if not active.any():
-                continue
-            fit = np.floor(remaining / cost_j + 1e-9)
-            fit = np.where(active, fit, 0.0)
-            counts[:, j] = fit
-            # `fit * cost` with the cost masked to 0 on inactive rows:
-            # avoids 0*inf while leaving active rows' arithmetic exact.
-            remaining = remaining - fit * np.where(active, cost_j, 0.0)
-        if fractional_tail:
-            tail = valid[:, 0] & (remaining > 0.0)
-            if tail.any():
-                counts[:, 0] += np.where(
-                    tail, remaining / costs_s[:, 0], 0.0
-                )
-        return counts

@@ -302,9 +302,8 @@ class QantPricingAgent:
         default ``activation_threshold=None`` the supply vector is always
         enforced and this is exactly :meth:`would_offer`.
 
-        The price update is inlined rather than delegated to
-        :meth:`_raise_price`: this runs ``nodes x queries`` times per
-        simulation, which dominates paper-scale wall-clock.
+        This is the scalar reference of the steps 8-9 raise and the
+        latch; :mod:`repro.core.market_kernel` batches it.
         """
         # Guards trimmed to one attribute test: this is the innermost
         # loop of the allocation path.
@@ -312,8 +311,7 @@ class QantPricingAgent:
             self._require_period()
         if self._remaining[class_index] >= 1.0:
             return True
-        # Steps 8-9: refuse and raise the class price (same arithmetic and
-        # clamp order as `_raise_price`, so traces stay byte-identical).
+        # Steps 8-9: refuse and raise the class price.
         self._refused[class_index] += 1
         values = self._price_values
         old = values[class_index]
@@ -412,22 +410,6 @@ class QantPricingAgent:
         return self.end_period()
 
     # -- price updates --------------------------------------------------------
-
-    def _raise_price(self, class_index: int) -> None:
-        values = self._price_values
-        old = values[class_index]
-        new = old * (1.0 + self._params.adjustment)
-        if new < self._params.price_floor:
-            new = self._params.price_floor
-        if new > self._params.price_cap:
-            new = self._params.price_cap
-        if new != old:
-            values[class_index] = new
-            self._price_epoch += 1
-            self._prices_cache = None
-            # A raise can only grow the maximum.
-            if self._max_price is not None and new > self._max_price:
-                self._max_price = new
 
     def _lower_price(self, class_index: int, leftover: float) -> None:
         # p_k -= s_ik * lambda * p_k, clamped so the price stays positive

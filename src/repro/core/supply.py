@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import abc
 import math
+import sys
 from collections import namedtuple
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -233,6 +234,11 @@ class CapacitySupplySet(SupplySet):
         must change the token whenever the prices they pass change.
         """
         _check_prices(prices, len(self._costs))
+        if 0.0 < self._capacity < sys.float_info.min:
+            # A subnormal budget is below float resolution: dividing it by
+            # a cost rounds up to a whole multiple of the smallest float
+            # and oversells the node.  Supply nothing.
+            return QueryVector.zeros(self.num_classes)
         if cache_token is not None:
             solved = self._cache_lookup(cache_token, ("solve", method, self._capacity))
             if solved is not None:

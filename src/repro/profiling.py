@@ -129,6 +129,9 @@ def collect_kernel(name: str) -> cProfile.Profile:
     reporter = getattr(fn, "shard_self_time_s", None)
     if callable(reporter):
         profiler.shard_self_time_s = [float(t) for t in reporter()]
+    close = getattr(fn, "close", None)
+    if close is not None:  # kernels owning worker processes
+        close()
     return profiler
 
 

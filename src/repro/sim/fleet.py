@@ -5,23 +5,20 @@ per candidate per query).  At 1,000 nodes that per-query Python loop is the
 dominant cost of the fan-out, so :class:`FleetArrays` keeps one shared
 ``slot_free`` vector — mirrored from each node's single-slot watermark on
 every :meth:`~repro.sim.node.SimulatedNode.enqueue` — plus per-class
-row/cost views, letting an allocator compute every candidate's completion
-estimate with one vectorised expression that is bit-identical to the
-scalar probes.
+row/cost views, letting an allocator pick the earliest completion with
+one :func:`repro.core.market_kernel.earliest` call that is bit-identical
+to the scalar probes.
 
 The mirror is only built when every node is single-slot (the paper's
-serial-node model) and numpy is importable; otherwise ``build`` returns
-``None`` and all callers keep their scalar paths.
+serial-node model); otherwise ``build`` returns ``None`` and all callers
+keep their scalar paths.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-try:  # Same optional dependency posture as repro.sim.network.
-    import numpy as _np
-except ImportError:  # pragma: no cover - scalar paths cover this
-    _np = None
+import numpy as _np
 
 __all__ = [
     "ClassView",
@@ -61,10 +58,10 @@ class FleetArrays:
     def build(nodes: Mapping[int, object]) -> "Optional[FleetArrays]":
         """Mirror ``nodes`` (id -> :class:`SimulatedNode`) into arrays.
 
-        Returns ``None`` when numpy is missing or any node has more than
-        one execution slot (the mirror tracks only the serial watermark).
+        Returns ``None`` when any node has more than one execution slot
+        (the mirror tracks only the serial watermark).
         """
-        if _np is None or not nodes:
+        if not nodes:
             return None
         for node in nodes.values():
             if node._exec_slots != 1:
@@ -105,13 +102,3 @@ class FleetArrays:
         view = ClassView(ids, rows, costs)
         self._views[class_index] = (candidates, view)
         return view
-
-    def estimates(self, view: ClassView, now: float):
-        """Completion estimates for every candidate of ``view`` at ``now``.
-
-        ``where(sf > now, sf, now) + cost`` is element-for-element the
-        scalar ``start = max(now, earliest); start + cost`` probe, so the
-        floats (and any downstream argmin tie-breaks) are bit-identical.
-        """
-        sf = self.slot_free[view.rows]
-        return _np.where(sf > now, sf, now) + view.costs

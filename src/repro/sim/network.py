@@ -177,19 +177,6 @@ class Network:
             )
         return self._faulty_fanout(origin, peers_t)
 
-    def faulty_fanout(
-        self, origin: int, peers: Sequence[int]
-    ) -> Tuple[float, int, Tuple[int, ...], Tuple[int, ...]]:
-        """Legacy tuple form of :meth:`fanout`.
-
-        Returns ``(delay_ms, messages, delivered, replied)`` — the
-        pre-protocol contract, kept for existing callers and the
-        sim-vs-protocol equivalence tests.  With no injector attached it
-        now falls back to the fault-free exchange instead of raising, so
-        callers no longer need dual code paths.
-        """
-        return self.fanout(origin, peers).as_legacy_tuple()
-
     def _faulty_fanout(
         self, origin: int, peers: Tuple[int, ...]
     ) -> FanoutResult:

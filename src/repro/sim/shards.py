@@ -14,7 +14,10 @@ planes**:
   shard-side, inside that shard's :class:`_MarketPlane`;
 * components split across shards form the **residual plane**, priced
   and executed in-process by the slim coordinator with the identical
-  :class:`_MarketPlane` arithmetic;
+  :class:`_MarketPlane` code;
+* every plane prices with :mod:`repro.core.market_kernel` — the same
+  exchange, decay and eq. 4 program as the single-process engine — so
+  it honours the run's ``supply_method`` and ``carry_over``;
 * the coordinator routes each tick's arrivals to their plane: one-way
   ``mtick`` frames of encoded :class:`~repro.protocol.messages
   .BidRequest` messages through the :mod:`repro.protocol` codec over
@@ -69,11 +72,17 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-try:  # Same optional posture as repro.sim.fleet: no numpy, no sharding.
-    import numpy as _np
-except ImportError:  # pragma: no cover - single-process paths cover this
-    _np = None
+import numpy as _np
 
+from ..core.market_kernel import (
+    SATURATED,
+    Exchange,
+    Lanes,
+    SupplySolver,
+    carry_round,
+    decay,
+    earliest,
+)
 from ..core.qant import QantParameters
 from ..protocol.messages import (
     BidRequest,
@@ -83,7 +92,6 @@ from ..protocol.messages import (
     decode,
     encode,
 )
-from ..allocation.market_tick import refusal_raise
 from ..protocol.transport import (
     FanoutResult,
     FrameDecoder,
@@ -275,17 +283,17 @@ def split_market_classes(
 class _MarketPlane:
     """One self-contained QA-NT market over a subset of the federation.
 
-    The full market stack — request-for-bid exchanges (the
-    :func:`repro.allocation.market_tick.refusal_raise` steps-8/9 raise,
-    the Section 5.1 activation latch, earliest-completion argmin),
-    execution replay with node-keyed latency streams, and the eq. 4
-    period solve with carry-over credit — restricted to one set of
-    affinity components.  Query classes only couple through shared
-    bidders, so running each component set in its own plane performs
-    bit-for-bit the same float operations, in the same order, as one
-    global plane interleaving them: this is the equivalence that makes
-    the sharded digest independent of the shard count, transport mode
-    and reconciliation interval.
+    The full market stack restricted to one set of affinity components:
+    the :mod:`repro.core.market_kernel` pricing the single-process
+    engine runs too (exchanges, steps 12–14 decay, eq. 4 under the run's
+    ``supply_method`` and ``carry_over``), plus what only a plane does —
+    the optimistic busy write, the pending pool and execution replay
+    with node-keyed latency streams.  Query classes only couple through
+    shared bidders, so running each component set in its own plane
+    performs bit-for-bit the same float operations, in the same order,
+    as one global plane interleaving them: this is the equivalence that
+    makes the sharded digest independent of the shard count, transport
+    mode and reconciliation interval.
 
     Instances run shard-side (one per shard, inside
     :class:`_LocalMarketCore`) and coordinator-side (the residual plane
@@ -298,43 +306,69 @@ class _MarketPlane:
         ids = [int(nid) for nid in init["node_ids"]]
         self._ids = ids
         self._index = {nid: i for i, nid in enumerate(ids)}
-        self._num_classes = int(init["num_classes"])
-        costs = list(init["costs"])
-        if ids:
-            self._costs = _np.array(costs, dtype=float)
-        else:
-            self._costs = _np.zeros((0, self._num_classes), dtype=float)
+        n = len(ids)
+        self._costs = _np.array(init["costs"], dtype=float).reshape(
+            n, int(init["num_classes"])
+        )
         self._allow = _np.array(init["allowances"], dtype=float)
         self._seeds = [int(s) for s in init["latency_seeds"]]
         self._base = float(init["base_ms"])
         self._jitter = float(init["jitter_ms"])
-        self._factor = float(init["factor"])
-        self._floor = float(init["floor"])
-        self._cap = float(init["cap"])
         self._adjustment = float(init["adjustment"])
+        self._floor = float(init["floor"])
+        self._carry = bool(init["carry_over"])
+        self._solver = SupplySolver(self._costs, str(init["supply_method"]))
+        #: Pricing busy mirror: optimistic within a tick (later queries
+        #: of the tick see each commitment), resynced to the
+        #: authoritative execution clock at the tick's end.
+        self._busy = _np.zeros(n, dtype=float)
+        #: Authoritative per-node FIFO clocks (negotiation delay included).
+        self._exec_busy = _np.zeros(n, dtype=float)
         threshold = init.get("threshold")
-        self._threshold = None if threshold is None else float(threshold)
-        self._class_order: List[int] = []
-        self._cand: Dict[int, object] = {}
-        self._cand_ids: Dict[int, object] = {}
-        self._lane_costs: Dict[int, object] = {}
+        self._market = Exchange(
+            self._busy,
+            1.0 + self._adjustment,
+            self._floor,
+            float(init["cap"]),
+            None if threshold is None else float(threshold),
+        )
+        # Lane state: one flat array per quantity, one lane per
+        # (candidate, class) pair in init order, with per-class views.
+        self._lanes: Dict[int, Lanes] = {}
+        lane_rows: List[int] = []
+        lane_cols: List[int] = []
         for class_index, cand in init["classes"]:
             k = int(class_index)
-            members = [int(nid) for nid in cand]
-            rows = _np.array(
-                [self._index[nid] for nid in members], dtype=_np.intp
+            rows = [self._index[int(nid)] for nid in cand]
+            self._lanes[k] = Lanes(
+                _np.array(rows, dtype=_np.intp), self._costs[rows, k]
             )
-            self._class_order.append(k)
-            self._cand[k] = rows
-            self._cand_ids[k] = _np.array(members, dtype=_np.int64)
-            self._lane_costs[k] = self._costs[rows, k]
+            lane_rows.extend(rows)
+            lane_cols.extend([k] * len(rows))
+        self._lane_rows = _np.array(lane_rows, dtype=_np.intp)
+        size = len(lane_rows)
+        self._V, self._R = _np.ones(size), _np.zeros(size)
+        self._F = _np.zeros(size, dtype=_np.int64)
+        self._ACC = _np.zeros(size, dtype=_np.int64)
+        start = 0
+        for lanes in self._lanes.values():
+            view = slice(start, start + len(lanes.rows))
+            lanes.V, lanes.R = self._V[view], self._R[view]
+            lanes.F, lanes.ACC = self._F[view], self._ACC[view]
+            start = view.stop
+        # Eq. 4 state in the solver's compact layout, where each row's
+        # evaluable classes come first in ascending order.
+        width = self._solver.cols.shape[1]
+        rank = _np.cumsum(_np.isfinite(self._costs), axis=1) - 1
+        self._lane_cells = (
+            self._lane_rows * width + rank[self._lane_rows, lane_cols]
+        )
+        self._credit = _np.zeros((n, width), dtype=float)
+        self._prices_c = _np.ones((n, width), dtype=float)
         # maxp baseline: a class the node can never evaluate keeps its
         # initial price of 1.0 forever (no refusals, no leftover supply),
         # pinning the node's max price at >= 1.0.
-        self._maxp_base = _np.zeros(len(ids), dtype=float)
-        for i in range(len(ids)):
-            if bool(_np.isinf(self._costs[i]).any()):
-                self._maxp_base[i] = 1.0
+        self._maxp_base = _np.isinf(self._costs).any(axis=1) * 1.0
         self.reset(True)
 
     @property
@@ -343,19 +377,9 @@ class _MarketPlane:
         return self._ids
 
     @property
-    def class_indices(self) -> List[int]:
-        """The plane's query classes (init order: ascending index)."""
-        return self._class_order
-
-    @property
     def pending_count(self) -> int:
         """Queries refused and waiting for the next period boundary."""
         return len(self._pending)
-
-    @property
-    def assigned(self) -> int:
-        """Assignments executed since the last reset."""
-        return self._assigned
 
     @property
     def exchanges(self) -> int:
@@ -364,33 +388,18 @@ class _MarketPlane:
 
     def reset(self, qa: bool) -> None:
         """Fresh run state + the bind-time eq. 4 solve (QA-NT only)."""
-        n = len(self._ids)
         self._qa = bool(qa)
-        #: Pricing busy mirror: optimistic within a tick (later queries
-        #: of the tick see each commitment), resynced to the
-        #: authoritative execution clock at the tick's end.
-        self._busy = _np.zeros(n, dtype=float)
-        #: Authoritative per-node FIFO clocks (negotiation delay included).
-        self._exec_busy = _np.zeros(n, dtype=float)
-        self._credit = _np.zeros((n, self._num_classes), dtype=float)
-        self._maxp = _np.ones(n, dtype=float)
-        self._locked = _np.zeros(n, dtype=bool)
+        for state in (self._busy, self._exec_busy, self._credit, self._R):
+            state[:] = 0.0
+        self._V[:] = 1.0
         self._rngs = [random.Random(seed) for seed in self._seeds]
-        self._V: Dict[int, object] = {
-            k: _np.ones(len(self._cand[k]), dtype=float)
-            for k in self._class_order
-        }
-        self._R: Dict[int, object] = {
-            k: _np.zeros(len(self._cand[k]), dtype=float)
-            for k in self._class_order
-        }
         self._period_serial = 0
         self._saturated_in: Dict[int, int] = {}
         self._pending: List[Tuple] = []
         self._cols: Tuple[List, ...] = tuple([] for _ in range(9))
         self._assigned = 0
         self._exchanges = 0
-        if self._qa and n:
+        if self._qa and self._ids:
             self._period_solve(0.0)
 
     # -- ticking -------------------------------------------------------------
@@ -401,12 +410,11 @@ class _MarketPlane:
         Each row is ``(qid, class_index, origin, arrival, resub)``.
         Returns the number of assignments made.
         """
-        qa = self._qa
         pending = self._pending
         assignments: List[Tuple] = []
         for row in rows:
             k = row[1]
-            node = self._exchange(k, now) if qa else self._greedy(k, now)
+            node = self._match(k, now)
             if node is None:
                 pending.append(tuple(row))
             else:
@@ -418,61 +426,23 @@ class _MarketPlane:
             self._replay(now, assignments)
         return len(assignments)
 
-    def _exchange(self, class_index: int, now: float) -> Optional[int]:
-        """One QA-NT request-for-bid exchange over the plane's rows.
-
-        The same array program as
-        :meth:`repro.allocation.market_tick.MarketTickDispatcher
-        .exchange`: offer test, bulk refusal price raises, the Section
-        5.1 activation latch, then the earliest-completion winner by
-        first-occurrence argmin (lowest node id on ties).
-        """
-        if self._saturated_in.get(class_index) == self._period_serial:
+    def _match(self, class_index: int, now: float) -> Optional[int]:
+        """One request-for-bid exchange (greedy: every candidate offers)
+        plus the optimistic busy write and the saturation fast path."""
+        lanes = self._lanes[class_index]
+        if not self._qa:
+            lane, finish = earliest(self._busy, lanes, now)
+        elif self._saturated_in.get(class_index) == self._period_serial:
             return None
-        R = self._R[class_index]
-        V = self._V[class_index]
-        cand = self._cand[class_index]
-        offers = R >= 1.0
-        refuse = _np.nonzero(~offers)[0]
-        if refuse.size:
-            new, changed = refusal_raise(
-                V[refuse], self._factor, self._floor, self._cap
-            )
-            V[refuse] = new
-            rows_r = cand[refuse]
-            m = self._maxp[rows_r]
-            if changed.any():
-                m = _np.maximum(m, new)
-                self._maxp[rows_r] = m
-            threshold = self._threshold
-            if threshold is not None:
-                passed = ~self._locked[rows_r]
-                passed &= m < threshold
-                self._locked[rows_r] = ~passed
-                offers[refuse] = passed
-        if not offers.any():
-            if bool((V == self._cap).all()):
-                self._saturated_in[class_index] = self._period_serial
-            return None
-        est = _np.maximum(self._busy[cand], now)
-        est += self._lane_costs[class_index]
-        est[~offers] = _np.inf
-        winner = int(est.argmin())
-        if R[winner] >= 1.0:
-            R[winner] -= 1.0
-        row = int(cand[winner])
-        self._busy[row] = float(est[winner])
-        return int(self._ids[row])
-
-    def _greedy(self, class_index: int, now: float) -> int:
-        """Greedy: every candidate offers; earliest completion wins."""
-        cand = self._cand[class_index]
-        est = _np.maximum(self._busy[cand], now)
-        est += self._lane_costs[class_index]
-        winner = int(est.argmin())
-        row = int(cand[winner])
-        self._busy[row] = float(est[winner])
-        return int(self._ids[row])
+        else:
+            lane, finish = self._market(lanes, now)
+            if lane < 0:
+                if lane == SATURATED:
+                    self._saturated_in[class_index] = self._period_serial
+                return None
+        row = int(lanes.rows[lane])
+        self._busy[row] = finish
+        return self._ids[row]
 
     def _replay(self, now: float, assignments: Sequence[Tuple]) -> None:
         """Execution replay, then the pricing mirror resyncs.
@@ -523,16 +493,7 @@ class _MarketPlane:
         pending count left after the retry tick."""
         if not self._qa:
             return len(self._pending)
-        for k in self._class_order:
-            R = self._R[k]
-            V = self._V[k]
-            mask = R > 0.0
-            if mask.any():
-                f = 1.0 - R * self._adjustment
-                _np.maximum(f, 0.0, out=f)
-                new = V * f
-                _np.maximum(new, self._floor, out=new)
-                V[:] = _np.where(mask, new, V)
+        self._V[:] = decay(self._V, self._R, self._adjustment, self._floor)
         if len(self._ids):
             self._period_solve(now)
         if self._pending:
@@ -545,43 +506,25 @@ class _MarketPlane:
         return len(self._pending)
 
     def _period_solve(self, now: float) -> None:
-        """Eq. 4 for every plane node at once, then the period re-arm.
-
-        Vectorises
-        :meth:`repro.core.supply.CapacitySupplySet._solve_proportional`
-        row-wise: density ``p/c`` (``p/inf == 0`` excludes classes the
-        node cannot evaluate), weights ``(d/top)**2`` over a free
-        capacity of ``max(0, allowance - backlog)``, then the QA-NT
-        carry-over rounding ``whole = floor(credit + 1e-9)``.  The new
-        period clears the latches, re-derives the max-price mirror and
-        re-arms the saturation fast path.
-        """
-        prices = _np.ones((len(self._ids), self._num_classes), dtype=float)
-        for k in self._class_order:
-            prices[self._cand[k], k] = self._V[k]
+        """Eq. 4 for every plane node over a free capacity of
+        ``max(0, allowance - backlog)``, then the period re-arm: counts
+        and latches cleared, max prices re-derived, saturation re-armed."""
         backlog = self._exec_busy - now
         _np.clip(backlog, 0.0, None, out=backlog)
         free = self._allow - backlog
         _np.clip(free, 0.0, None, out=free)
-        D = prices / self._costs
-        top = D.max(axis=1)
-        W = _np.zeros_like(D)
-        rows = top > 0.0
-        if rows.any():
-            W[rows] = (D[rows] / top[rows, None]) ** 2.0
-        total = W.sum(axis=1)
-        total[total == 0.0] = 1.0
-        counts = (free[:, None] * W / total[:, None]) / self._costs
-        credit = self._credit
-        credit += counts
-        whole = _np.floor(credit + 1e-9)
-        credit -= whole
-        for k in self._class_order:
-            self._R[k][:] = whole[self._cand[k], k]
-        self._locked[:] = False
-        self._maxp[:] = self._maxp_base
-        for k in self._class_order:
-            _np.maximum.at(self._maxp, self._cand[k], self._V[k])
+        cells = self._lane_cells
+        prices = self._prices_c
+        prices.flat[cells] = self._V
+        optimal = self._solver.solve(slice(None), prices, free)
+        planned = carry_round(optimal, self._credit if self._carry else None)
+        self._R[:] = planned.flat[cells]
+        self._F[:] = 0
+        self._ACC[:] = 0
+        market = self._market
+        market.locked[:] = False
+        market.maxp[:] = self._maxp_base
+        _np.maximum.at(market.maxp, self._lane_rows, self._V)
         self._period_serial += 1
 
     # -- reporting ------------------------------------------------------------
@@ -591,10 +534,10 @@ class _MarketPlane:
         — the payload of one price-reconciliation barrier."""
         return {
             "prices": [
-                [k, self._V[k].tolist()] for k in self._class_order
+                [k, lanes.V.tolist()] for k, lanes in self._lanes.items()
             ],
             "supply": [
-                [k, self._R[k].tolist()] for k in self._class_order
+                [k, lanes.R.tolist()] for k, lanes in self._lanes.items()
             ],
             "busy": self._exec_busy.tolist(),
             "pending": len(self._pending),
@@ -603,13 +546,14 @@ class _MarketPlane:
 
     def quotes(self, class_index: int) -> List[Tuple[int, float]]:
         """Authoritative ``(node, est_completion)`` quotes for one class."""
-        if class_index not in self._cand:
+        lanes = self._lanes.get(class_index)
+        if lanes is None:
             return []
-        cand = self._cand[class_index]
-        ids = self._cand_ids[class_index]
-        est = self._exec_busy[cand] + self._lane_costs[class_index]
+        est = self._exec_busy[lanes.rows] + lanes.costs
+        ids = self._ids
         return [
-            (int(nid), float(e)) for nid, e in zip(ids.tolist(), est.tolist())
+            (ids[row], e)
+            for row, e in zip(lanes.rows.tolist(), est.tolist())
         ]
 
     def collect(self) -> Dict[str, object]:
@@ -1280,8 +1224,6 @@ class ShardedFederation:
         if shards == 1:
             self._plan = None
             return
-        if _np is None:  # pragma: no cover - numpy ships with the stack
-            raise RuntimeError("sharded federations require numpy")
         candidates_by_class = {
             qc.index: tuple(sorted(qc.candidate_nodes(placement)))
             for qc in classes
@@ -1382,10 +1324,11 @@ class ShardedFederation:
                 ],
                 "base_ms": self._config.latency.base_ms,
                 "jitter_ms": self._config.latency.jitter_ms,
-                "factor": 1.0 + params.adjustment,
                 "floor": params.price_floor,
                 "cap": params.price_cap,
                 "adjustment": params.adjustment,
+                "supply_method": params.supply_method,
+                "carry_over": params.carry_over,
                 "threshold": self._threshold,
                 "classes": [
                     [k, list(candidates_by_class[k])] for k in class_indices

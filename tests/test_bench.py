@@ -51,8 +51,13 @@ class TestRegistry:
             if name.startswith("e2e."):
                 continue
             fn = kernel.setup()
-            assert callable(fn)
-            fn()  # one untimed execution must not raise
+            try:
+                assert callable(fn)
+                fn()  # one untimed execution must not raise
+            finally:
+                close = getattr(fn, "close", None)
+                if close is not None:
+                    close()
 
     def test_duplicate_registration_rejected(self):
         from repro.bench.kernels import register_kernel

@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import main
 from repro.experiments.failures import run_failures
+from repro.experiments.spec import REGISTRY
 from repro.query import MachineSpec
 from repro.sim import Simulator
 from repro.sim.node import SimulatedNode
@@ -15,7 +16,7 @@ class TestCli:
     def test_list_prints_all_experiments(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out.split()
-        assert set(out) == set(EXPERIMENTS)
+        assert set(out) == set(REGISTRY.names())
 
     def test_run_fig1(self, capsys):
         assert main(["run", "fig1"]) == 0
@@ -31,9 +32,11 @@ class TestCli:
             main(["run", "nonexistent"])
 
     def test_every_registered_experiment_has_render(self):
-        # The registry contract: every callable yields a render()able.
-        for name, factory in EXPERIMENTS.items():
-            assert callable(factory)
+        # The registry contract: every spec names a callable runner or
+        # sweep cell.
+        for name in REGISTRY.names():
+            spec = REGISTRY.get(name)
+            assert callable(spec.cell if spec.sweepable else spec.runner)
 
 
 class TestNodeOutages:

@@ -134,7 +134,10 @@ class TestCliAblationEntries:
     def test_fast_ablation_experiments_render(self):
         # The lambda ablation is the fastest registry entry that touches
         # real simulation; run it end to end through the CLI registry.
-        from repro.cli import EXPERIMENTS
+        from repro.experiments.runner import run_sweep
+        from repro.experiments.spec import REGISTRY
 
-        result = EXPERIMENTS["ablation-lambda"]("small", 0)
+        spec = REGISTRY.get("ablation-lambda")
+        assert spec.sweepable
+        result = run_sweep(spec, scale="small", seeds=(0,))
         assert "lambda" in result.render()

@@ -113,6 +113,15 @@ class TestSupplyInvariants:
         result = supply_set.optimal_supply([0.0] * len(costs), method="greedy")
         assert result.is_zero()
 
+    def test_subnormal_capacity_supplies_nothing(self):
+        # 5e-324 / 1.5 rounds back up to 5e-324 units, twice the budget.
+        supply_set = CapacitySupplySet([1.5], 5e-324)
+        for method in ("greedy", "fractional", "greedy-fractional",
+                       "proportional", "exact"):
+            result = supply_set.optimal_supply([1.0], method=method)
+            assert result.is_zero()
+            assert supply_set.utilisation(result) == 0.0
+
 
 class TestMarketInvariants:
     @given(paired_counts)

@@ -8,9 +8,10 @@ Three concerns:
 * the MarketSession negotiation state machine — winner rule, timeout /
   refusal handling, retry accounting, and a backoff formula that stays
   bit-identical to the simulator's fault layer;
-* sim-vs-protocol equivalence — ``Network.fanout``'s FanoutResult must
-  match the legacy ``faulty_fanout`` tuple contract draw for draw on
-  seeded runs, in both fault regimes.
+* sim-vs-protocol equivalence — ``Network.fanout``'s FanoutResult
+  ``(delay_ms, messages, delivered, replied)`` contract is reproducible
+  draw for draw on seeded runs, in both fault regimes, and
+  ``SimTransport`` adapts it unchanged.
 """
 
 import json
@@ -440,15 +441,21 @@ class TestSimProtocolEquivalence:
     @pytest.mark.parametrize("spec", [None, CHAOS_SPEC])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fanout_matches_legacy_tuple_contract(self, spec, seed):
-        """FanoutResult and the legacy 4-tuple agree draw for draw."""
+        """Twin seeded networks agree on every FanoutResult field (the
+        pre-protocol ``(delay, messages, delivered, replied)`` contract)
+        draw for draw."""
         protocol_net = _seeded_network(seed, spec)
-        legacy_net = _seeded_network(seed, spec)
+        twin_net = _seeded_network(seed, spec)
         for round_index in range(20):
             peers = tuple(range(1, 2 + (round_index % 9)))
             result = protocol_net.fanout(0, peers)
-            legacy = legacy_net.faulty_fanout(0, peers)
-            assert result.as_legacy_tuple() == legacy
-            assert protocol_net.messages_sent == legacy_net.messages_sent
+            twin = twin_net.fanout(0, peers)
+            assert result.delay_ms == twin.delay_ms
+            assert result.messages == twin.messages
+            assert result.delivered == twin.delivered
+            assert result.replied == twin.replied
+            assert set(result.replied) <= set(result.delivered) <= set(peers)
+            assert protocol_net.messages_sent == twin_net.messages_sent
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_sim_transport_is_a_pure_adapter(self, seed):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import main
 from repro.experiments.fig5 import fig5a_cell
 from repro.experiments.runner import (
     SweepResult,
@@ -175,9 +175,6 @@ class TestRegistry:
 
     def test_every_experiment_registered(self):
         assert set(REGISTRY.names()) == self.EXPECTED
-
-    def test_legacy_experiments_dict_matches_registry(self):
-        assert set(EXPERIMENTS) == set(REGISTRY.names())
 
     def test_every_spec_has_both_scales(self):
         for name in REGISTRY.names():

@@ -26,6 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.allocation import GreedyAllocator, QantAllocator
+from repro.core.qant import QantParameters
 from repro.experiments.scaling import (
     quantise_trace,
     reconcile_scaling_cell,
@@ -379,6 +380,70 @@ def test_market_layout_other_than_local_is_rejected():
             )
 
 
+#: Supply configurations the planes must honour (every batched eq. 4
+#: method, carry-over on and off).
+SUPPLY_VARIANTS = {
+    "proportional": QantParameters(),
+    "proportional-nocarry": QantParameters(carry_over=False),
+    "greedy": QantParameters(supply_method="greedy"),
+    "greedy-fractional": QantParameters(supply_method="greedy-fractional"),
+    "fractional": QantParameters(supply_method="fractional"),
+}
+
+
+def _supply_payload(name: str, shards: int, mode: str) -> str:
+    world, trace = _zipf_small()
+    with ShardedFederation(
+        world.specs,
+        world.placement,
+        world.classes,
+        world.cost_model,
+        config=FederationConfig(seed=2),
+        shards=shards,
+        mode=mode,
+        parameters=SUPPLY_VARIANTS[name],
+    ) as federation:
+        payload = federation.run(list(trace), "qa-nt").invariant_payload()
+    return json.dumps(payload, sort_keys=True)
+
+
+def test_planes_honour_supply_parameters():
+    """Each supply method and carry-over setting runs its own eq. 4 on
+    the planes, so every configuration reaches a different outcome."""
+    payloads = {
+        name: _supply_payload(name, 2, "inline") for name in SUPPLY_VARIANTS
+    }
+    assert len(set(payloads.values())) == len(SUPPLY_VARIANTS)
+    assert payloads["proportional"] == json.dumps(
+        _local_baseline("qa-nt"), sort_keys=True
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SUPPLY_VARIANTS))
+def test_supply_parameters_are_shard_and_mode_invariant(name):
+    reference = _supply_payload(name, 2, "inline")
+    for shards in (2, 4):
+        for mode in ("inline", "fork"):
+            assert _supply_payload(name, shards, mode) == reference
+
+
+def test_exact_supply_is_rejected_by_planes():
+    """The knapsack DP has no batched form; planes refuse it up front
+    (``shards=1`` keeps running it on the scalar path)."""
+    world, __ = _zipf_small()
+    with pytest.raises(ValueError, match="exact"):
+        ShardedFederation(
+            world.specs,
+            world.placement,
+            world.classes,
+            world.cost_model,
+            shards=2,
+            mode="fork",
+            parameters=QantParameters(supply_method="exact"),
+        )
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("mode", ["inline", "fork", "tcp"])
 def test_local_market_invariant_across_transport_modes(mode):
     """Pipe, socket and inline planes make identical decisions — the tcp
@@ -579,14 +644,11 @@ def test_tcp_duplicate_hello_fails_fast_and_reaps_workers(monkeypatch):
     monkeypatch.setattr(
         shards_module, "_tcp_shard_worker", _impostor_tcp_worker
     )
-    # Pools other tests keep alive in this process (bench kernels fork
-    # theirs once at setup) are not this transport's to reap.
-    before = set(multiprocessing.active_children())
     started = time.perf_counter()
     with pytest.raises(ValueError, match="hello"):
         ShardTransport([{}, {}], mode="tcp")
     assert time.perf_counter() - started < 5.0
-    assert set(multiprocessing.active_children()) <= before
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

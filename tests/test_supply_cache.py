@@ -3,8 +3,8 @@
 The perf work memoises density orderings and solved supply vectors inside
 :class:`CapacitySupplySet`, keyed by an opaque ``cache_token`` that QA-NT
 agents derive from their price epoch.  These tests drive random
-interleavings of ``_raise_price`` / ``_lower_price`` — the only two
-operations that move prices — and assert the cached solve is always
+interleavings of refusal raises (``quote`` with no supply left) and
+``_lower_price`` — the only two operations that move prices — and assert the cached solve is always
 *exactly* equal to a from-scratch solve on a fresh supply set at the same
 prices.  Exact (``==``) equality is the right bar: token-keyed caching
 must never change a single bit of any simulated decision.
@@ -37,10 +37,15 @@ price_ops = st.lists(
 
 
 def _apply(agent: QantPricingAgent, ops) -> None:
+    if not agent.in_period:
+        agent.begin_period()
     for kind, pick, leftover in ops:
         class_index = pick % agent.num_classes
         if kind == "raise":
-            agent._raise_price(class_index)
+            # With no whole unit of supply left, a quote is a refusal:
+            # the steps 8-9 raise.
+            agent.bid_state()[0][class_index] = 0.0
+            agent.quote(class_index)
         else:
             agent._lower_price(class_index, leftover)
 
