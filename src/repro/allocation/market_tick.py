@@ -72,9 +72,8 @@ class MarketTickDispatcher:
 
     Built by :class:`~repro.allocation.qant.QantAllocator` only when the
     whole fleet is dispatchable: numpy + fleet arrays available, no
-    message faults, no partial adoption, no private classification, no
-    offer-premium filter, and every bidder a plain
-    :class:`~repro.core.qant.QantPricingAgent`.
+    message faults, no partial adoption, no private classification, and
+    every bidder a plain :class:`~repro.core.qant.QantPricingAgent`.
     """
 
     def __init__(

@@ -22,6 +22,14 @@ Two paper-motivated options are exposed:
   request, eliminating the integer-rounding penalty at light load the
   paper discusses.  Pass ``None`` to always enforce (the raw Section 3.3
   algorithm, used by the rounding ablation).
+
+A server's answer to a request-for-bid (steps 4–10) runs as one of two
+programs: the kernel :class:`repro.core.market_kernel.Exchange` (via
+:class:`~repro.allocation.market_tick.MarketTickDispatcher`, the fast
+path for fault-free full fan-outs inside a run), or the scalar reference
+:meth:`repro.core.qant.QantPricingAgent.quote`, which serves the rest:
+message faults, outage partial fan-outs, partial adoption, private
+classification and direct ``assign`` calls outside a run.
 """
 
 from __future__ import annotations
@@ -74,7 +82,6 @@ class QantAllocator(Allocator):
         activation_threshold: Optional[float] = DEFAULT_ACTIVATION_THRESHOLD,
         queue_allowance_ms: Optional[float] = None,
         allowance_factor: float = DEFAULT_ALLOWANCE_FACTOR,
-        max_offer_premium: Optional[float] = None,
         private_buckets: Optional[int] = None,
     ):
         """``queue_allowance_ms`` bounds each node's committed backlog: a
@@ -94,7 +101,6 @@ class QantAllocator(Allocator):
         self._activation_threshold = activation_threshold
         self._queue_allowance_ms = queue_allowance_ms
         self._allowance_factor = allowance_factor
-        self._max_offer_premium = max_offer_premium
         if private_buckets is not None and private_buckets <= 0:
             raise ValueError("private_buckets must be positive")
         #: When set, every node prices its *own* coarse classification of
@@ -121,8 +127,8 @@ class QantAllocator(Allocator):
         self._saturated_in: Dict[int, int] = {}
         self._deferred_refusals: Dict[int, int] = {}
         #: Per class, the nodes that offered on the last successful
-        #: exchange — the stale cache graceful degradation falls back to
-        #: when a faulted fan-out yields total silence (fault runs only).
+        #: `quote` exchange — the stale cache graceful degradation falls
+        #: back to when a faulted fan-out yields total silence.
         self._last_good: Dict[int, Tuple[int, ...]] = {}
         #: The batched period-boundary engine over every plain pricing
         #: agent, plus the (node_id, agent) rows it cannot manage —
@@ -200,11 +206,12 @@ class QantAllocator(Allocator):
         # * a non-adopter is ``(nid, None, None, None, None)`` — it always
         #   offers (greedy behaviour);
         # * a plain pricing agent carries its live per-period state lists
-        #   (see ``QantPricingAgent.bid_state``), letting ``assign`` mirror
-        #   ``quote`` inline with no per-node call frame;
+        #   (see ``QantPricingAgent.bid_state``), which the vector
+        #   dispatcher gathers and scatters;
         # * a privately-classifying agent carries ``None`` state (its
-        #   global→bucket mapping makes inlining not worth it) and is
-        #   quoted through the method call.
+        #   global→bucket mapping keeps it off the vector path).
+        #
+        # Every scalar answer goes through the agent's ``quote``.
         self._bidders_by_class = {
             class_index: tuple(
                 self._compile_bidder(node_id) for node_id in candidates
@@ -212,11 +219,6 @@ class QantAllocator(Allocator):
             for class_index, candidates in
             self.context.candidates_by_class.items()
         }
-        # All agents share `self._params`, so the raise arithmetic the
-        # inlined loop mirrors can be hoisted once.
-        self._raise_factor = 1.0 + self._params.adjustment
-        self._price_floor = self._params.price_floor
-        self._price_cap = self._params.price_cap
         # Partition the fleet for the period boundary: every plain pricing
         # agent goes into the batched engine; privately-classifying agents
         # and non-batchable solver methods stay on the scalar loop.
@@ -252,17 +254,16 @@ class QantAllocator(Allocator):
                 dtype=float,
             )
         # The vector exchange requires the whole fan-out to follow the
-        # inlined plain-agent arithmetic: full adoption, global classes,
-        # no premium filter, no message faults, every bidder an
-        # exact-type pricing agent with live state lists.  Anything else
-        # keeps the scalar loop (which remains the outage fallback even
-        # when the dispatcher is active).
+        # plain-agent `quote` arithmetic: full adoption, global classes,
+        # no message faults, every bidder an exact-type pricing agent
+        # with live state lists.  Anything else keeps `_quote_exchange`
+        # (which remains the outage fallback even when the dispatcher is
+        # active).
         if (
             fleet is not None
             and self.context.faults is None
             and self._adopters is None
             and self._private_buckets is None
-            and self._max_offer_premium is None
             and all(
                 b[2] is not None and type(b[1]) is QantPricingAgent
                 for bidders in self._bidders_by_class.values()
@@ -274,9 +275,9 @@ class QantAllocator(Allocator):
                 self.context.nodes,
                 self._bidders_by_class,
                 self._activation_threshold,
-                self._raise_factor,
-                self._price_floor,
-                self._price_cap,
+                1.0 + self._params.adjustment,
+                self._params.price_floor,
+                self._params.price_cap,
             )
         # Bulk latency draws are only exact against the plain simulated
         # wire; a custom transport must see one fanout call per query.
@@ -433,16 +434,18 @@ class QantAllocator(Allocator):
                 # The current period's boundary was fast-forwarded; the
                 # fan-out below reads live agent state, so settle it now.
                 engine.flush()
-        class_index = query.class_index
         context = self.context
-        if context.faults is not None:
-            return self._assign_faulty(query)
-        candidates = context.available_candidates(class_index)
+        candidates = context.available_candidates(query.class_index)
         if not candidates:
             return AssignmentDecision(node_id=None)
         # The request-for-bid exchange as a protocol event: fault-free,
         # every candidate replies and the delay is the slowest round trip.
         exchange = self._request_bids(query, candidates)
+        if context.faults is not None:
+            return self._quote_exchange(
+                query, candidates, exchange.delivered, exchange.replied,
+                exchange.delay_ms, exchange.messages,
+            )
         return self._assign_with_exchange(
             query, candidates, exchange.delay_ms, exchange.messages
         )
@@ -509,24 +512,21 @@ class QantAllocator(Allocator):
         messages: int,
         use_vector: bool = False,
     ) -> AssignmentDecision:
-        """Market reaction to one already-charged request-for-bid fan-out."""
+        """Market reaction to one fault-free, already-charged fan-out.
+
+        A full fan-out first tries the per-period saturation skip, then
+        the vector dispatcher (mid-batch or inside a federation run);
+        everything else — partial fan-outs during outage windows, fleets
+        the dispatcher cannot serve, direct ``assign`` calls outside a
+        run — is answered by :meth:`_quote_exchange`.
+        """
         class_index = query.class_index
-        context = self.context
-        num_candidates = len(candidates)
-        # Single-pass bid collection over the precompiled fan-out.  Each
-        # bidder answers the request-for-bid with `quote` semantics: the
-        # unconditional price dynamics (refusals must keep adjusting prices
-        # so the overload signal can form) plus the Section 5.1 activation
-        # rule (the supply vector is only enforced while the node's prices
-        # signal overload).  For plain pricing agents the whole exchange is
-        # inlined here against the agent's live state lists — this loop
-        # runs nodes x requests times and dominates paper-scale wall-clock,
-        # so it trades one method call per node for direct list reads.
-        # Any change here must stay in lock-step with
-        # `QantPricingAgent.quote` (same arithmetic, same clamp order) or
-        # golden traces will move.
-        bidders = self._bidders_by_class[class_index]
-        full_fanout = len(bidders) == num_candidates
+        full_fanout = len(self._bidders_by_class[class_index]) == len(
+            candidates
+        )
+        dispatcher = self._dispatcher
+        if not (use_vector or self._vector_singles):
+            dispatcher = None
         if full_fanout:
             if self._saturated_in.get(class_index) == self._period_serial:
                 # Every bidder is saturated (no supply, price at the cap,
@@ -539,187 +539,99 @@ class QantAllocator(Allocator):
                 return AssignmentDecision(
                     node_id=None, delay_ms=delay, messages=messages
                 )
-            vector = use_vector or self._vector_singles
-            dispatcher = self._dispatcher if vector else None
             if dispatcher is not None:
-                # Vectorised exchange over the full fan-out: same offers,
-                # price raises, latch updates and accept as the scalar
-                # loop below, as a handful of numpy ops (see
-                # repro.allocation.market_tick for the bit-identity
-                # argument).  Only taken mid-batch or during a federation
-                # run (`_vector_singles`), where every observer goes
-                # through the `sync_market_state` contract, so nobody
+                # The kernel exchange over the full fan-out: same offers,
+                # price raises, latch updates and accept as `quote` (see
+                # repro.allocation.market_tick).  Only taken where every
+                # observer goes through `sync_market_state`, so nobody
                 # ever sees a stale agent.
                 chosen, now_saturated = dispatcher.exchange(
-                    class_index, context.simulator.now
+                    class_index, self.context.simulator.now
                 )
-                if chosen is None:
-                    if now_saturated:
-                        self._saturated_in[class_index] = self._period_serial
-                    return AssignmentDecision(
-                        node_id=None, delay_ms=delay, messages=messages
-                    )
+                if chosen is None and now_saturated:
+                    self._saturated_in[class_index] = self._period_serial
                 return AssignmentDecision(
                     chosen, delay_ms=delay, messages=messages
                 )
-            saturated = True
-        else:
-            # Some candidate is in an outage window: run the fan-out over
-            # the filtered bidders for this query only (failure
-            # experiments), and never record saturation from a partial
-            # exchange.
-            dispatcher = self._dispatcher
-            if dispatcher is not None and (use_vector or self._vector_singles):
-                # The scalar loop below reads/writes the live agent
-                # lists, so settle any cached vector state first.
-                dispatcher.sync()
-                dispatcher.stats.scalar_fallbacks += 1
-            live = set(candidates)
-            bidders = [b for b in bidders if b[0] in live]
-            saturated = False
-        threshold = self._activation_threshold
-        factor = self._raise_factor
-        floor = self._price_floor
-        cap = self._price_cap
-        offers = []
-        append = offers.append
-        for node_id, agent, remaining, values, refused in bidders:
-            if agent is None:
-                append(node_id)
-                saturated = False
-                continue
-            if remaining is None:
-                # Privately-classifying agent: quote through the method.
-                saturated = False
-                if agent.quote(class_index, threshold):
-                    append(node_id)
-                continue
-            if remaining[class_index] >= 1.0:
-                append(node_id)
-                saturated = False
-                continue
-            # Refusal: raise the class price (steps 8-9), then apply the
-            # activation rule — mirrors `QantPricingAgent.quote` exactly.
-            refused[class_index] += 1
-            old = values[class_index]
-            new = old * factor
-            if new < floor:
-                new = floor
-            elif new > cap:
-                new = cap
-            if new != old:
-                values[class_index] = new
-                agent._price_epoch += 1
-                agent._prices_cache = None
-                if agent._max_price is not None and new > agent._max_price:
-                    agent._max_price = new
-            if new != cap:
-                # Price still below the cap: the next refusal will move it
-                # again, so this bidder is not yet a no-op.
-                saturated = False
-            if threshold is None:
-                continue
-            if agent._enforce_locked_at is not None:
-                # The allocator quotes one fixed threshold, so the latch
-                # value can only be `threshold` itself: still locked.
-                continue
-            max_price = agent._max_price
-            if max_price is None:
-                max_price = max(values)
-                agent._max_price = max_price
-            if max_price < threshold:
-                append(node_id)
-                saturated = False
-            else:
-                agent._enforce_locked_at = threshold
-        if offers and self._max_offer_premium is not None:
-            offers = self._filter_premium(offers, candidates, class_index)
-        if not offers:
-            if saturated:
-                self._saturated_in[class_index] = self._period_serial
-            return AssignmentDecision(
-                node_id=None, delay_ms=delay, messages=messages
-            )
-        # Earliest-estimated-completion winner, inlined (node-id ascending,
-        # strict `<`, so ties resolve to the lowest id — the same order
-        # `_best_offer` produces).  `estimated_completion_ms` is unrolled
-        # for the serial-node common case.
-        nodes = context.nodes
-        now = context.simulator.now
-        chosen = -1
-        best = float("inf")
-        for nid in offers:
-            node = nodes[nid]
-            slot_free = node._slot_free_at
-            earliest = slot_free[0] if len(slot_free) == 1 else min(slot_free)
-            start = now if now >= earliest else earliest
-            estimate = start + node._costs[class_index]
-            if estimate < best:
-                best = estimate
-                chosen = nid
-        agent = self._agents.get(chosen)
-        if agent is not None and agent.supply_left(class_index) >= 1:
-            agent.accept(class_index)
-        return AssignmentDecision(chosen, delay_ms=delay, messages=messages)
+        elif dispatcher is not None:
+            # Some candidate is in an outage window: `quote` reads and
+            # writes the live agent lists, so settle the cached vector
+            # state first.
+            dispatcher.sync()
+            dispatcher.stats.scalar_fallbacks += 1
+        return self._quote_exchange(
+            query, candidates, candidates, candidates, delay, messages,
+            full_fanout,
+        )
 
-    def _assign_faulty(self, query: Query) -> AssignmentDecision:
-        """The request-for-bid exchange under message-level faults.
+    def _quote_exchange(
+        self,
+        query: Query,
+        candidates,
+        delivered,
+        replied,
+        delay: float,
+        messages: int,
+        saturable: bool = False,
+    ) -> AssignmentDecision:
+        """The request-for-bid exchange answered by each agent's `quote`.
 
-        Requests and replies travel through the protocol transport (the
-        fault-injected fan-out of :meth:`repro.sim.network.Network
-        .fanout`), which models the bid timeout: a server whose *request*
-        arrived runs its full quote dynamics (prices move even when the
-        client never hears back — the stale-price regime partitioned
-        markets exhibit), but only servers whose *reply* beat the timeout
-        can win.  On total silence the client degrades gracefully: it
-        falls back to the reachable subset of the last nodes known to
-        offer for this class rather than stalling, counting the
-        assignment as degraded.
+        Every server whose *request* arrived (``delivered``) runs its full
+        quote dynamics — under message faults prices move even when the
+        client never hears back, the stale-price regime partitioned
+        markets exhibit — but only servers whose *reply* beat the timeout
+        (``replied``) can win.  Fault-free calls pass the candidates for
+        both.  On total silence the client degrades gracefully: it falls
+        back to the reachable subset of the last nodes known to offer for
+        this class rather than stalling, counting the assignment as
+        degraded.  ``saturable`` (fault-free full fan-outs only) arms the
+        per-period saturation skip when every bidder refused at the
+        price cap.
         """
         class_index = query.class_index
-        context = self.context
-        faults = context.faults
-        candidates = context.available_candidates(class_index)
-        if not candidates:
-            return AssignmentDecision(node_id=None)
-        exchange = self._request_bids(query, candidates)
-        delay = exchange.delay_ms
-        messages = exchange.messages
-        delivered = exchange.delivered
-        replied = exchange.replied
         threshold = self._activation_threshold
-        agents = self._agents
+        cap = self._params.price_cap
+        live = None if saturable else set(delivered)
+        saturated = saturable
         offered = set()
-        for nid in delivered:
-            agent = agents.get(nid)
+        for node_id, agent, __, values, __ in self._bidders_by_class[
+            class_index
+        ]:
+            if live is not None and node_id not in live:
+                continue
+            # A non-adopter always offers (greedy behaviour).
             if agent is None or agent.quote(class_index, threshold):
-                offered.add(nid)
+                offered.add(node_id)
+                saturated = False
+            elif values is None or values[class_index] != cap:
+                # A refusal below the cap still moves the price, so this
+                # bidder is not yet a no-op.
+                saturated = False
         offers = [nid for nid in replied if nid in offered]
-        if offers and self._max_offer_premium is not None:
-            offers = self._filter_premium(offers, candidates, class_index)
         if offers:
-            chosen = self._best_offer(offers, class_index)
             self._last_good[class_index] = tuple(offers)
-            agent = agents.get(chosen)
-            if agent is not None and agent.supply_left(class_index) >= 1:
-                agent.accept(class_index)
+            chosen = self._accept(
+                self._best_offer(offers, class_index), class_index
+            )
             return AssignmentDecision(chosen, delay_ms=delay, messages=messages)
+        if saturated:
+            self._saturated_in[class_index] = self._period_serial
         if not replied:
             # Total silence (every reply lost, late, or partitioned away):
             # fall back to the stale cache instead of stalling.
+            faults = self.context.faults
             cached = self._last_good.get(class_index, ())
             live = set(candidates)
             reachable = faults.reachable(
                 query.origin_node,
                 [nid for nid in cached if nid in live],
-                context.simulator.now,
+                self.context.simulator.now,
             )
             if reachable:
-                chosen = self._best_offer(reachable, class_index)
                 faults.note_degraded()
-                agent = agents.get(chosen)
-                if agent is not None and agent.supply_left(class_index) >= 1:
-                    agent.accept(class_index)
+                chosen = self._accept(
+                    self._best_offer(reachable, class_index), class_index
+                )
                 return AssignmentDecision(
                     chosen, delay_ms=delay, messages=messages
                 )
@@ -738,22 +650,9 @@ class QantAllocator(Allocator):
             ),
         )
 
-    def _filter_premium(self, offers, candidates, class_index: int):
-        """Drop offers whose execution time is beyond the premium cap.
-
-        The client already holds every candidate's execution-time estimate
-        from the probe round; declining an offer more than
-        ``max_offer_premium`` times the class's best estimate and retrying
-        next period is preferable to committing to a far-inferior mirror.
-        """
-        if self._max_offer_premium is None or not offers:
-            return offers
-        nodes = self.context.nodes
-        # One estimate per candidate, reused for both the best-estimate
-        # baseline and the per-offer comparison.
-        exec_ms = {
-            nid: nodes[nid].execution_time_ms(class_index)
-            for nid in candidates
-        }
-        cap = min(exec_ms.values()) * self._max_offer_premium
-        return [nid for nid in offers if exec_ms[nid] <= cap]
+    def _accept(self, node_id: int, class_index: int) -> int:
+        """Step 6 at the winner: consume one unit of its supply if any."""
+        agent = self._agents.get(node_id)
+        if agent is not None and agent.supply_left(class_index) >= 1:
+            agent.accept(class_index)
+        return node_id

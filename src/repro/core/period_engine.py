@@ -31,7 +31,7 @@ last ulp (see :mod:`repro.core.market_kernel`), so the golden traces
 pinned in ``tests/golden/`` do not move.
 
 The agents' own Python lists stay authoritative for the *within*-period
-hot paths (the allocator's inlined fan-out holds live references via
+hot paths (the allocator's vector dispatcher holds live references via
 ``bid_state``); the engine gathers them into its matrices at a boundary
 only when the period saw any interaction, and scatters results back with
 identity-preserving slice assignment.

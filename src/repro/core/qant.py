@@ -141,7 +141,7 @@ class QantPricingAgent:
         self._num_classes = num_classes
         # These per-period state lists are mutated strictly in place and
         # never rebound (see `begin_period`): the federation allocator's
-        # inlined fan-out loop caches direct references to them via
+        # vector dispatcher caches direct references to them via
         # `bid_state` and relies on their identity staying stable for the
         # agent's whole lifetime.
         self._remaining: List[float] = [0.0] * num_classes
@@ -292,18 +292,19 @@ class QantPricingAgent:
     ) -> bool:
         """One node-side answer to a request-for-bid, in a single call.
 
-        This is the RFB fan-out fast path: it fuses :meth:`would_offer`
-        with the Section 5.1 activation rule the federation allocator
-        otherwise applies separately.  Returns True when the node's reply
-        to the client is an *offer* — either its supply vector covers the
-        class, or (after the refusal raised the class price, as every
-        trading failure must) its prices sit below
-        ``activation_threshold`` so the vector is not enforced.  With the
-        default ``activation_threshold=None`` the supply vector is always
-        enforced and this is exactly :meth:`would_offer`.
+        It fuses :meth:`would_offer` with the Section 5.1 activation
+        rule.  Returns True when the node's reply to the client is an
+        *offer* — either its supply vector covers the class, or (after
+        the refusal raised the class price, as every trading failure
+        must) its prices sit below ``activation_threshold`` so the vector
+        is not enforced.  With the default ``activation_threshold=None``
+        the supply vector is always enforced and this is exactly
+        :meth:`would_offer`.
 
-        This is the scalar reference of the steps 8-9 raise and the
-        latch; :mod:`repro.core.market_kernel` batches it.
+        This is the one scalar form of the steps 8-9 raise and the
+        latch: the federation allocator answers every request-for-bid off
+        the vector path through it, and :mod:`repro.core.market_kernel`
+        batches it.
         """
         # Guards trimmed to one attribute test: this is the innermost
         # loop of the allocation path.
@@ -345,15 +346,16 @@ class QantPricingAgent:
         return False
 
     def bid_state(self) -> Tuple[List[float], List[float], List[int]]:
-        """The agent's mutable per-period cells, for inlined fan-out loops.
+        """The agent's mutable per-period cells, for batched exchanges.
 
         Returns ``(remaining, price_values, refused)`` — the *live* list
         objects, guaranteed never to be rebound for the agent's lifetime
         (``begin_period`` resets them in place).  The federation
-        allocator's request-for-bid loop holds these references and
-        mirrors :meth:`quote` without a Python call frame per node; any
-        mutation it performs must follow exactly the update sequence
-        documented there.
+        allocator's vector dispatcher
+        (:class:`~repro.allocation.market_tick.MarketTickDispatcher`)
+        gathers these into kernel lanes and scatters the kernel's results
+        back, which must leave exactly the state :meth:`quote` and
+        :meth:`accept` would have.
         """
         return self._remaining, self._price_values, self._refused
 

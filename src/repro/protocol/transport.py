@@ -2,18 +2,17 @@
 
 A :class:`Transport` moves protocol messages between a client and a set of
 server peers; everything above it (:class:`~repro.protocol.session
-.MarketSession`, the allocators) is transport-agnostic.  Three backends
+.MarketSession`, the allocators) is transport-agnostic.  Two backends
 exist today:
 
 * ``repro.sim.transport.SimTransport`` — the discrete-event simulator's
   network (latency model, message counting, fault injection);
 * :class:`~repro.protocol.local.LocalAsyncTransport` — an in-process
   asyncio market with one worker coroutine per node, the stepping stone
-  to HTTP/TCP broker daemons;
-* ``repro.sim.shards.ShardTransport`` — a pipe-backed pool of forked
-  shard workers (peers are *shards*, not nodes): the sharded
-  federation's batched bid/quote barriers travel through it, codec and
-  all.
+  to HTTP/TCP broker daemons.
+
+(``repro.sim.shards.ShardTransport`` is not a third: it moves the
+sharded engine's frames, using this module's framing helpers.)
 
 The one verb both speak is :meth:`Transport.fanout`, whose
 :class:`FanoutResult` lifts the semantics the simulator's faulty fan-out

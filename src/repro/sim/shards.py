@@ -66,6 +66,7 @@ import json
 import math
 import random
 import resource
+import select
 import socket
 import time
 from collections import deque
@@ -84,20 +85,8 @@ from ..core.market_kernel import (
     earliest,
 )
 from ..core.qant import QantParameters
-from ..protocol.messages import (
-    BidRequest,
-    Message,
-    ProtocolError,
-    Quote,
-    decode,
-    encode,
-)
-from ..protocol.transport import (
-    FanoutResult,
-    FrameDecoder,
-    Transport,
-    encode_frame,
-)
+from ..protocol.messages import BidRequest, decode, encode
+from ..protocol.transport import FrameDecoder, encode_frame
 from .faults import derive_fault_seed
 from .federation import FederationConfig, run_single_mechanism
 from .metrics import MetricsCollector
@@ -544,18 +533,6 @@ class _MarketPlane:
             "assigned": self._assigned,
         }
 
-    def quotes(self, class_index: int) -> List[Tuple[int, float]]:
-        """Authoritative ``(node, est_completion)`` quotes for one class."""
-        lanes = self._lanes.get(class_index)
-        if lanes is None:
-            return []
-        est = self._exec_busy[lanes.rows] + lanes.costs
-        ids = self._ids
-        return [
-            (ids[row], e)
-            for row, e in zip(lanes.rows.tolist(), est.tolist())
-        ]
-
     def collect(self) -> Dict[str, object]:
         """Outcome columns + run counters (the final-barrier payload)."""
         return {
@@ -578,7 +555,6 @@ class _LocalMarketCore:
 
     def __init__(self, init: Mapping[str, object]) -> None:
         self._plane = _MarketPlane(init["plane"])
-        self._bids_seen = 0
         #: Wall-clock seconds this core spent handling frames since the
         #: last reset — the per-shard hotspot number ``repro profile
         #: --json`` (schema v2) surfaces, since cProfile cannot see into
@@ -604,7 +580,6 @@ class _LocalMarketCore:
                     (bid.qid, bid.class_index, bid.origin_node, now,
                      bid.attempt)
                 )
-            self._bids_seen += len(rows)
             plane.market_tick(now, rows)
             return {"ok": True}
         if op == "mboundary":
@@ -615,7 +590,6 @@ class _LocalMarketCore:
             return digest
         if op == "reset":
             plane.reset(bool(frame[1]))
-            self._bids_seen = 0
             self.self_time_s = 0.0
             return {"ok": True}
         if op == "collect":
@@ -623,30 +597,9 @@ class _LocalMarketCore:
             reply["maxrss_kb"] = resource.getrusage(
                 resource.RUSAGE_SELF
             ).ru_maxrss
-            reply["bids_seen"] = self._bids_seen
             reply["self_time_s"] = self.self_time_s
             return reply
-        if op == "fanout":
-            return self._fanout(frame[1])
         raise ValueError("unknown market-shard frame %r" % (op,))
-
-    def _fanout(self, payload: str) -> Mapping[str, object]:
-        """Protocol fan-out against the plane's authoritative clocks."""
-        message = decode(payload)
-        if isinstance(message, BidRequest):
-            replies = [
-                encode(
-                    Quote(
-                        qid=message.qid,
-                        node_id=nid,
-                        class_index=message.class_index,
-                        estimated_completion_ms=est,
-                    )
-                )
-                for nid, est in self._plane.quotes(message.class_index)
-            ]
-            return {"replies": replies}
-        return {"replies": []}
 
 
 #: Worker-core registry: ``shard_inits[i]["kind"]`` picks the class.
@@ -685,11 +638,10 @@ def _shard_worker(conn, init: Mapping[str, object]) -> None:
 
 def _wire_default(obj):
     """``json.dumps`` fallback for numpy values in wire frames."""
-    if _np is not None:
-        if isinstance(obj, _np.ndarray):
-            return obj.tolist()
-        if isinstance(obj, _np.generic):
-            return obj.item()
+    if isinstance(obj, _np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, _np.generic):
+        return obj.item()
     raise TypeError(
         "cannot serialise %r for the shard wire" % type(obj).__name__
     )
@@ -703,8 +655,8 @@ class _WireChannel:
     / :class:`~repro.protocol.transport.FrameDecoder`), so both ends
     reassemble partial reads deterministically.  JSON round-trips floats
     exactly (shortest-repr), which is what keeps tcp mode bit-identical
-    to pipes.  ``send``/``recv``/``close`` mirror a pipe connection, so
-    workers and the transport drive both alike.
+    to pipes.  ``send``/``recv``/``poll``/``fileno``/``close`` mirror a
+    pipe connection, so workers and the transport drive both alike.
     """
 
     def __init__(self, sock: socket.socket) -> None:
@@ -723,6 +675,22 @@ class _WireChannel:
                 raise EOFError("shard wire closed")
             self._frames.extend(self._decoder.feed(data))
         return json.loads(self._frames.popleft())
+
+    def poll(self, timeout: float) -> bool:
+        """Whether a whole frame (or EOF) arrives within ``timeout`` s."""
+        deadline = time.monotonic() + timeout
+        while not self._frames:
+            left = deadline - time.monotonic()
+            if left <= 0 or not select.select([self._sock], [], [], left)[0]:
+                return False
+            data = self._sock.recv(1 << 16)
+            if not data:
+                return True  # `recv` raises EOFError
+            self._frames.extend(self._decoder.feed(data))
+        return True
+
+    def fileno(self) -> int:
+        return self._sock.fileno()
 
     def close(self) -> None:
         try:
@@ -749,6 +717,15 @@ def _tcp_shard_worker(host: str, port: int, index: int) -> None:
 
 # -- the transport ------------------------------------------------------------
 
+#: Seconds :meth:`ShardTransport.close` waits, over all workers together,
+#: for close acks and exits before terminating whatever is still alive.
+_CLOSE_TIMEOUT_S = 5.0
+
+
+def _left(deadline: float) -> float:
+    """Seconds until ``deadline`` (``time.monotonic`` clock), floored at 0."""
+    return max(0.0, deadline - time.monotonic())
+
 
 def _hello_index(hello, channels: Sequence[Optional[_WireChannel]]) -> int:
     """The shard index a tcp worker's ``["hello", i]`` frame claims.
@@ -769,17 +746,16 @@ def _hello_index(hello, channels: Sequence[Optional[_WireChannel]]) -> int:
     raise ValueError("invalid shard hello %r" % (hello,))
 
 
-class ShardTransport(Transport):
-    """Transport to a pool of shard workers (pipes, sockets or inline).
+class ShardTransport:
+    """The sharded engine's frame transport to its shard workers.
 
-    The :class:`~repro.protocol.transport.Transport` seam's third real
-    backend: peers are shard indices, :meth:`fanout` carries encoded
-    protocol messages to each shard and gathers their decoded replies
-    in fixed shard order.  :meth:`exchange` is the lower-level pipelined
-    sync barrier the sharded federation drives — all frames are written
-    before any reply is read, and replies are read in shard order, so
-    the merge order (and therefore every downstream float) never
-    depends on worker scheduling.
+    Not a :class:`~repro.protocol.transport.Transport`: peers are shard
+    indices and the engine moves whole frames, never single protocol
+    messages.  Two verbs: :meth:`post` is the one-way double-buffered
+    dispatch, and :meth:`exchange` the pipelined sync barrier — all
+    frames are written before any reply is read, and replies are read in
+    shard order, so the merge order (and therefore every downstream
+    float) never depends on worker scheduling.
 
     ``mode="fork"`` forks one daemon worker per shard over
     :func:`multiprocessing.Pipe`; ``mode="inline"`` runs the identical
@@ -803,9 +779,6 @@ class ShardTransport(Transport):
         #: Wall-clock milliseconds spent blocked at sync barriers
         #: (coordinator waiting on shard replies).
         self.barrier_wait_ms = 0.0
-        #: Protocol messages moved (fanout legs only; the federation
-        #: accounts bid/quote volume itself).
-        self.messages = 0
         #: One-way frames dispatched without a reply barrier (the
         #: double-buffered tick pipeline; see :meth:`post`).
         self.posted_frames = 0
@@ -935,43 +908,6 @@ class ShardTransport(Transport):
                     posted += 1
         self.posted_frames += posted
 
-    def fanout(
-        self,
-        origin: int,
-        peers: Sequence[int],
-        request: Optional[Message] = None,
-    ) -> FanoutResult:
-        """Send ``request`` to each shard peer; gather decoded replies.
-
-        The encoded payload is shared across peers (one serialisation,
-        N deliveries — the batched-broadcast idiom the tick path also
-        uses); replies decode in shard order into ``replies``.
-        ``delay_ms`` is 0: shard hops are process-local, and simulated
-        time is the coordinator's business, not the transport's.
-        """
-        if request is None:
-            raise ProtocolError("ShardTransport requires a real message")
-        peer_list = list(peers)
-        payload = encode(request)
-        frames: List[Optional[Tuple]] = [None] * self._num_shards
-        for peer in peer_list:
-            frames[peer] = ("fanout", payload)
-        raw = self.exchange(frames)
-        replies: List[Message] = []
-        for peer in peer_list:
-            reply = raw[peer]
-            if reply is not None:
-                replies.extend(decode(p) for p in reply["replies"])
-        messages = 2 * len(peer_list)
-        self.messages += messages
-        return FanoutResult(
-            delay_ms=0.0,
-            messages=messages,
-            delivered=tuple(peer_list),
-            replied=tuple(peer_list),
-            replies=tuple(replies),
-        )
-
     def note_child_peak_kb(self, peak_kb: int) -> None:
         """Record the workers' peak RSS (from a collect barrier)."""
         if peak_kb > self._child_peak_kb:
@@ -987,29 +923,42 @@ class ShardTransport(Transport):
         return self._child_peak_kb if self._mode != "inline" else 0
 
     def _terminate(self) -> None:
-        """Kill and reap every started worker (failed-handshake path)."""
+        """Kill and reap every worker still alive."""
         self._closed = True
         for proc in self._procs:
-            proc.terminate()
+            if proc.is_alive():
+                proc.terminate()
         for proc in self._procs:
-            proc.join(timeout=5.0)
+            proc.join(timeout=_CLOSE_TIMEOUT_S)
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
+        """Shut the worker pool down (idempotent).
+
+        Each worker gets a ``close`` frame and, within one shared
+        :data:`_CLOSE_TIMEOUT_S` budget, the chance to ack and exit; a
+        worker still busy (or hung) inside an earlier frame is then
+        terminated, so no child outlives the transport.
+        """
         if self._closed:
             return
         self._closed = True
         if self._mode == "inline":
             return
+        deadline = time.monotonic() + _CLOSE_TIMEOUT_S
         for conn in self._conns:
             try:
-                conn.send(("close",))
-                conn.recv()
-            except (BrokenPipeError, EOFError, OSError):
+                # Neither leg may block: a hung worker stops draining its
+                # pipe, so even the send waits for room within the budget.
+                if select.select([], [conn], [], _left(deadline))[1]:
+                    conn.send(("close",))
+                    if conn.poll(_left(deadline)):
+                        conn.recv()
+            except (EOFError, OSError):
                 pass
             conn.close()
         for proc in self._procs:
-            proc.join(timeout=5.0)
+            proc.join(timeout=_left(deadline))
+        self._terminate()
 
 
 # -- the merged result --------------------------------------------------------
@@ -1077,8 +1026,8 @@ class ShardedRunResult:
     @property
     def messages(self) -> int:
         """Protocol messages the run moved (network messages at
-        ``shards=1``; codec-serialised bid/quote/fanout messages
-        otherwise)."""
+        ``shards=1``; codec-serialised bid requests plus two legs per
+        shard reconciliation otherwise)."""
         return self._messages
 
     def mean_response_ms(self) -> float:
@@ -1210,7 +1159,7 @@ class ShardedFederation:
         self._reconcile_interval = int(reconcile_interval)
         #: Per-shard aggregate frame-handling self-time of the last run
         #: (filled by the collect barrier; ``repro profile --json`` v2).
-        self.last_shard_self_time_s: List[float] = []
+        self._shard_self_time_s: List[float] = []
         self._specs = specs
         self._placement = placement
         self._classes = classes
@@ -1526,7 +1475,7 @@ class ShardedFederation:
         for c, part in zip(cols, self._residual.collect()["columns"]):
             c.extend(part)
         transport.note_child_peak_kb(peak_kb)
-        self.last_shard_self_time_s = self_times
+        self._shard_self_time_s = self_times
         int_cols = (0, 1, 2, 5, 8)
         columns = [
             _np.array(c, dtype=_np.int64 if n in int_cols else float)
@@ -1554,8 +1503,6 @@ class ShardedFederation:
             local_classes=sum(len(ks) for ks in self._plane_classes),
             residual_classes=len(self._residual_classes),
         )
-        self._messages += transport.messages
-        transport.messages = 0
         return ShardedRunResult(
             columns=columns,
             dropped=dropped,
@@ -1663,4 +1610,4 @@ class ShardedFederation:
     def shard_self_time_s(self) -> List[float]:
         """Per-shard aggregate frame-handling self-time of the last run
         (seconds, fixed shard order; empty before any sharded run)."""
-        return list(self.last_shard_self_time_s)
+        return list(self._shard_self_time_s)

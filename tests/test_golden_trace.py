@@ -23,13 +23,17 @@ import pytest
 from repro.allocation import GreedyAllocator, QantAllocator, RoundRobinAllocator
 from repro.experiments.runner import _json_safe, run_sweep
 from repro.experiments.scaling import quantise_trace
+from repro.core.qant import QantParameters
 from repro.experiments.setups import (
     run_mechanism,
     sinusoid_trace_for_load,
     two_query_world,
+    zipf_trace_for_world,
+    zipf_world,
 )
 from repro.experiments.spec import REGISTRY
-from repro.sim import FederationConfig
+from repro.query.model import Query
+from repro.sim import FederationConfig, build_federation
 from repro.sim.faults import FaultSpec, half_partition
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -209,6 +213,134 @@ def scaling_1000node_payload() -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _agent_state_digest(allocator) -> str:
+    """SHA-256 over every QA-NT agent's full post-run market state.
+
+    Taken after ``sync_market_state`` (the observer contract), per node
+    in id order; a privately-classifying agent contributes its wrapped
+    bucket-space agent.  Covers prices, supply, credit, refusal/accept
+    counts, the running maximum, the price epoch and the §5.1 latch.
+    """
+    allocator.sync_market_state()
+    digest = hashlib.sha256()
+    for node_id in sorted(allocator.agents):
+        agent = allocator.agents[node_id]
+        agent = getattr(agent, "private_agent", agent)
+        digest.update(
+            (
+                "%d:%r|%r|%r|%r|%r|%r|%r|%r|%r|%r;"
+                % (
+                    node_id,
+                    agent.prices.values,
+                    agent.remaining_supply,
+                    agent.planned_supply.components,
+                    agent._credit,
+                    agent._accepted,
+                    agent._refused,
+                    agent.max_price,
+                    agent.price_epoch,
+                    agent._enforce_locked_at,
+                    agent.in_period,
+                )
+            ).encode()
+        )
+    return digest.hexdigest()
+
+
+def _scalar_path_cases():
+    """The allocator configurations whose exchanges leave the vector
+    dispatcher: partial adoption, private classification, outage partial
+    fan-outs, message faults, an always-enforced supply vector and the
+    exact eq. 4 solver, on small two-query and Zipf worlds."""
+    two = two_query_world(num_nodes=20, seed=0)
+    two_trace = sinusoid_trace_for_load(
+        two, load_fraction=1.5, horizon_ms=3_000.0, frequency_hz=0.05,
+        seed=10,
+    )
+    zipf = zipf_world(
+        num_nodes=20, num_relations=100, num_classes=12, max_joins=4,
+        seed=0,
+    )
+    zipf_trace = zipf_trace_for_world(
+        zipf, mean_interarrival_ms=60.0, horizon_ms=3_000.0,
+        max_queries=None, seed=11,
+    )
+    churn = FaultSpec(crash_rate_per_min=6.0, fault_seed=7)
+    chatter = FaultSpec(
+        drop_probability=0.1, spike_probability=0.1, fault_seed=7
+    )
+    return (
+        ("adopters", two, two_trace,
+         lambda: QantAllocator(adopters=range(0, 20, 2)), None),
+        ("zipf_adopters", zipf, zipf_trace,
+         lambda: QantAllocator(adopters=range(0, 20, 2)), None),
+        ("zipf_private_buckets", zipf, zipf_trace,
+         lambda: QantAllocator(private_buckets=2), None),
+        ("crash_churn", two, two_trace, QantAllocator, churn),
+        ("zipf_crash_churn", zipf, zipf_trace, QantAllocator, churn),
+        ("drops_spikes", two, two_trace, QantAllocator, chatter),
+        ("zipf_drops_spikes_adopters", zipf, zipf_trace,
+         lambda: QantAllocator(adopters=range(1, 20, 2)), chatter),
+        ("threshold_none", two, two_trace,
+         lambda: QantAllocator(activation_threshold=None), None),
+        ("exact_supply", two, two_trace,
+         lambda: QantAllocator(QantParameters(supply_method="exact")),
+         None),
+    )
+
+
+def _direct_assign_payload():
+    """``assign`` called straight on a bound allocator, outside any run
+    (the path API users and notebooks take)."""
+    world = two_query_world(num_nodes=20, seed=0)
+    federation = build_federation(
+        world.specs, world.placement, world.classes, world.cost_model,
+        QantAllocator(), FederationConfig(seed=2),
+    )
+    allocator = federation.allocator
+    digest = hashlib.sha256()
+    messages = 0
+    for qid in range(120):
+        decision = allocator.assign(
+            Query(
+                qid=qid, class_index=qid % 3 % 2, origin_node=qid % 20,
+                arrival_ms=0.0,
+            )
+        )
+        messages += decision.messages
+        digest.update(
+            ("%r,%r;" % (decision.node_id, decision.delay_ms)).encode()
+        )
+        if qid % 40 == 39:
+            allocator.on_period_start()
+    return {
+        "agent_state_digest": _agent_state_digest(allocator),
+        "decision_digest": digest.hexdigest(),
+        "messages": messages,
+    }
+
+
+def scalar_paths_payload() -> str:
+    """Every request-for-bid answer that runs off the vector dispatcher,
+    pinned per case by the outcome digest, the message count and the
+    post-run agent-state digest."""
+    payload = {}
+    for name, world, trace, factory, faults in _scalar_path_cases():
+        federation = build_federation(
+            world.specs, world.placement, world.classes, world.cost_model,
+            factory(), FederationConfig(seed=2, faults=faults),
+        )
+        metrics = federation.run(trace)
+        payload[name] = {
+            "agent_state_digest": _agent_state_digest(federation.allocator),
+            "completed": metrics.completed,
+            "messages": federation.network.messages_sent,
+            "outcome_digest": _outcome_digest(metrics.outcomes),
+        }
+    payload["direct_assign"] = _direct_assign_payload()
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _golden(name: str) -> str:
     return (GOLDEN_DIR / name).read_text()
 
@@ -245,3 +377,10 @@ def test_ablation_rounding_small_seed0_matches_golden():
     assert _serialize("ablation-rounding") == _golden(
         "ablation_rounding_small_seed0.json"
     )
+
+
+def test_scalar_paths_match_golden():
+    """Partial adoption, private classes, outages, message faults, the
+    unenforced latch, the exact solver and direct assigns reproduce the
+    stored outcome, message and agent-state digests bit-for-bit."""
+    assert scalar_paths_payload() == _golden("scalar_paths_seed0.json")

@@ -9,9 +9,9 @@ Three properties carry the whole design (see DESIGN.md §7):
   reconciliation intervals — each affinity component prices inside one
   market plane, and per-node state (latency RNG streams, busy clocks)
   is keyed by node id, never by shard layout;
-* the cross-shard conversation is real protocol traffic — encoded
-  ``BidRequest``/``Quote`` messages through the ``repro.protocol``
-  codec over ``ShardTransport``.
+* arrivals reach their plane as real protocol traffic — encoded
+  ``BidRequest`` messages through the ``repro.protocol`` codec, inside
+  ``ShardTransport`` frames.
 """
 
 import functools
@@ -38,7 +38,6 @@ from repro.experiments.setups import (
     two_query_world,
     zipf_world,
 )
-from repro.protocol import BidRequest, Quote, decode, encode
 from repro.sim import (
     FederationConfig,
     MetricsCollector,
@@ -247,47 +246,6 @@ def test_sharded_1000node_golden_is_shard_count_invariant():
 
 # ---------------------------------------------------------------------------
 # transport
-
-
-def test_shard_transport_fanout_speaks_protocol():
-    """A BidRequest fan-out over ShardTransport returns decoded Quotes.
-
-    Runs on the Zipf fixture: on the two-query world every class is
-    residual, so the shard planes hold no classes and send no quotes.
-    """
-    world, __ = _zipf_small()
-    with _sharded(world, 2) as federation:
-        candidates = {
-            qc.index: tuple(sorted(qc.candidate_nodes(world.placement)))
-            for qc in world.classes
-        }
-        owner = split_market_classes(candidates, federation.plan)
-        k = min(k for k, s in owner.items() if s >= 0)
-        transport = federation.transport
-        peers = tuple(range(transport.num_shards))
-        before = transport.messages
-        result = transport.fanout(
-            -1, peers, BidRequest(qid=1, class_index=k, origin_node=-1)
-        )
-        assert result.delivered == peers
-        assert result.replied == peers
-        assert result.replies, "candidate servers must answer with quotes"
-        assert all(isinstance(reply, Quote) for reply in result.replies)
-        assert all(reply.class_index == k for reply in result.replies)
-        assert sorted(reply.node_id for reply in result.replies) == list(
-            candidates[k]
-        )
-        # One request leg + one reply batch per shard.
-        assert transport.messages - before == 2 * len(peers)
-
-
-def test_shard_transport_requires_real_message():
-    from repro.protocol import ProtocolError
-
-    world, __ = _small_world()
-    with _sharded(world, 2) as federation:
-        with pytest.raises(ProtocolError):
-            federation.transport.fanout(-1, (0,), None)
 
 
 def test_sharded_scaling_cell_shape():
@@ -551,58 +509,66 @@ def test_tcp_workers_report_child_rss():
 
 
 class _SleepyEchoCore:
-    """Scripted-delay worker double: answers a fan-out with one Quote
-    carrying its own identity, after sleeping its scripted delay."""
+    """Scripted-delay worker double: answers any frame with its own
+    identity after sleeping its scripted delay."""
 
     def __init__(self, init):
         self._ident = int(init["ident"])
         self._delay_s = float(init["delay_s"])
 
     def handle(self, frame):
-        if frame[0] == "fanout":
-            time.sleep(self._delay_s)
-            request = decode(frame[1])
-            return {
-                "replies": [
-                    encode(
-                        Quote(
-                            qid=request.qid,
-                            node_id=self._ident,
-                            class_index=request.class_index,
-                            estimated_completion_ms=float(self._ident),
-                        )
-                    )
-                ]
-            }
-        return {"ok": True}
+        time.sleep(self._delay_s)
+        return {"ident": self._ident, "echo": frame[1]}
+
+
+@pytest.fixture
+def sleepy_kind():
+    _CORE_KINDS["test-sleepy"] = _SleepyEchoCore
+    yield "test-sleepy"
+    del _CORE_KINDS["test-sleepy"]
 
 
 @pytest.mark.parametrize("mode", ["fork", "tcp"])
-def test_out_of_order_replies_keep_fixed_shard_merge(mode):
+def test_out_of_order_replies_keep_fixed_shard_merge(mode, sleepy_kind):
     """A slow shard 0 lets shard 1's reply reach the coordinator first;
-    the merge must still come back in fixed shard order."""
+    the exchange barrier must still return replies in shard order."""
     inits = [
-        {"kind": "test-sleepy", "ident": 0, "delay_s": 0.25},
-        {"kind": "test-sleepy", "ident": 1, "delay_s": 0.0},
+        {"kind": sleepy_kind, "ident": 0, "delay_s": 0.25},
+        {"kind": sleepy_kind, "ident": 1, "delay_s": 0.0},
     ]
-    _CORE_KINDS["test-sleepy"] = _SleepyEchoCore
+    transport = ShardTransport(inits, mode=mode)
     try:
-        transport = ShardTransport(inits, mode=mode)
-        try:
-            started = time.perf_counter()
-            result = transport.fanout(
-                -1, (0, 1), BidRequest(qid=7, class_index=3, origin_node=-1)
-            )
-            elapsed = time.perf_counter() - started
-            assert [q.node_id for q in result.replies] == [0, 1]
-            assert result.replied == (0, 1)
-            # Both requests were in flight together: the barrier costs
-            # max(delays), not their sum (double-buffering's guarantee).
-            assert elapsed < 2 * 0.25
-        finally:
-            transport.close()
+        started = time.perf_counter()
+        replies = transport.exchange([("ping", "a"), ("ping", "b")])
+        elapsed = time.perf_counter() - started
+        assert [(r["ident"], r["echo"]) for r in replies] == [
+            (0, "a"),
+            (1, "b"),
+        ]
+        # Both frames were in flight together: the barrier costs
+        # max(delays), not their sum (double-buffering's guarantee).
+        assert elapsed < 2 * 0.25
     finally:
-        del _CORE_KINDS["test-sleepy"]
+        transport.close()
+
+
+@pytest.mark.parametrize("mode", ["fork", "tcp"])
+def test_close_bounds_a_hung_worker_and_reaps_it(
+    mode, sleepy_kind, monkeypatch
+):
+    """A worker stuck inside a posted frame never acks ``close``: the
+    transport gives up after its close budget and terminates it."""
+    monkeypatch.setattr(shards_module, "_CLOSE_TIMEOUT_S", 0.5)
+    inits = [
+        {"kind": sleepy_kind, "ident": 0, "delay_s": 60.0},
+        {"kind": sleepy_kind, "ident": 1, "delay_s": 0.0},
+    ]
+    transport = ShardTransport(inits, mode=mode)
+    transport.post([("hang", None), ("work", None)])
+    started = time.perf_counter()
+    transport.close()
+    assert time.perf_counter() - started < 0.5 + 2.0
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
