@@ -209,38 +209,60 @@ def _setup_qant_period_tick() -> Callable[[], object]:
     return run_once
 
 
-@register_kernel(
-    "market.exchange",
-    "Market-kernel request-for-bid exchange: 200 calls over 50 classes of "
-    "5-candidate lanes on 200 rows, from one opening state per op",
-)
-def _setup_market_exchange() -> Callable[[], object]:
+def _exchange_books(rows: int, classes: int, width: int, seed: int):
+    """200 kernel exchanges per op over ``classes`` lane sets of
+    ``width`` candidates on ``rows`` market rows, each op from one
+    opening state (supply 0-2 units per lane, every price 1.0)."""
     import numpy as np
 
     from ..core.market_kernel import Exchange, Lanes
 
-    rng = random.Random(_SEED + 5)
-    busy = np.array([rng.uniform(0.0, 500.0) for __ in range(200)])
+    rng = random.Random(seed)
+    busy = np.array([rng.uniform(0.0, 500.0) for __ in range(rows)])
     market = Exchange(busy, 1.1, 1e-3, 10.0, 2.0)
     books = []
-    for __ in range(50):
+    for __ in range(classes):
         lanes = Lanes(
-            np.array(sorted(rng.sample(range(200), 5)), dtype=np.intp),
-            np.array([rng.uniform(50.0, 400.0) for __ in range(5)]),
+            np.array(sorted(rng.sample(range(rows), width)), dtype=np.intp),
+            np.array([rng.uniform(50.0, 400.0) for __ in range(width)]),
         )
-        lanes.F = np.zeros(5, dtype=np.int64)
-        lanes.ACC = np.zeros(5, dtype=np.int64)
-        books.append((lanes, [float(rng.randrange(3)) for __ in range(5)]))
+        lanes.F = np.zeros(width, dtype=np.int64)
+        lanes.ACC = np.zeros(width, dtype=np.int64)
+        books.append(
+            (lanes, [float(rng.randrange(3)) for __ in range(width)])
+        )
 
     def run_once() -> int:
         market.maxp[:] = 1.0
         market.locked[:] = False
         for lanes, opening in books:
             lanes.R = np.array(opening)
-            lanes.V = np.ones(5)
-        return sum(market(books[i % 50][0], 100.0)[0] >= 0 for i in range(200))
+            lanes.V = np.ones(width)
+        return sum(
+            market(books[i % classes][0], 100.0)[0] >= 0 for i in range(200)
+        )
 
     return run_once
+
+
+@register_kernel(
+    "market.exchange",
+    "Market-kernel request-for-bid exchange: 200 calls over 50 classes of "
+    "5-candidate lanes on 200 rows (Zipf-world shape), from one opening "
+    "state per op",
+)
+def _setup_market_exchange() -> Callable[[], object]:
+    return _exchange_books(200, 50, 5, _SEED + 5)
+
+
+@register_kernel(
+    "market.exchange_wide",
+    "Market-kernel request-for-bid exchange: 200 calls over 2 classes of "
+    "100-candidate lanes on 100 rows (paper100 shape), from one opening "
+    "state per op",
+)
+def _setup_market_exchange_wide() -> Callable[[], object]:
+    return _exchange_books(100, 2, 100, _SEED + 7)
 
 
 @register_kernel(

@@ -1,6 +1,6 @@
 """The QA-NT market kernel: every array rule of the price dynamics, once.
 
-The one numpy program for paper §3–§5, shared by the period engine
+The one program for paper §3–§5, shared by the period engine
 (:class:`~repro.core.period_engine.QantPeriodEngine`), the tick
 dispatcher (:class:`~repro.allocation.market_tick.MarketTickDispatcher`)
 and every market plane of :mod:`repro.sim.shards`:
@@ -14,13 +14,21 @@ and every market plane of :mod:`repro.sim.shards`:
 * :func:`carry_round` — the carry-over rounding;
 * :class:`SupplySolver` — eq. 4 for the :data:`BATCHED_METHODS`.
 
+The exchange and the match come in two forms of one rule, chosen by
+the lane width alone: lane sets up to :data:`SCALAR_MAX_LANES`
+candidates wide (the Zipf world's 5-candidate classes) run on Python
+floats, where numpy's per-call overhead would dominate; wider ones
+(the 50–1,000-candidate lanes of the tick dispatcher) run as numpy
+array programs.  No caller picks a form.
+
 Every float comes from the same IEEE-754 operation sequence as the
 scalar references (``QantPricingAgent.quote``/``begin_period``/
-``end_period`` and ``CapacitySupplySet``), so goldens do not move
-whichever engine runs a market.  The one treacherous spot is the
-proportional solver's ``(density/top) ** 2.0``: numpy rewrites it into a
-multiply, which differs from CPython's libm ``pow`` in the last ulp for
-~0.1% of inputs, so the weights go through a scalar Python pow loop.
+``end_period`` and ``CapacitySupplySet``), in either form, so goldens
+do not move whichever engine runs a market.  The one treacherous spot
+is the proportional solver's ``(density/top) ** 2.0``: numpy rewrites
+it into a multiply, which differs from CPython's libm ``pow`` in the
+last ulp for ~0.1% of inputs, so the weights go through a scalar
+Python pow loop.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ __all__ = [
     "Lanes",
     "NO_OFFER",
     "SATURATED",
+    "SCALAR_MAX_LANES",
     "SupplySolver",
     "carry_round",
     "decay",
@@ -55,6 +64,12 @@ _PROP_SHARPNESS = 2.0
 #: refused (and, for SATURATED, every price sits at the cap).
 NO_OFFER = -1
 SATURATED = -2
+
+#: Widest lane set priced on Python floats; wider ones run the numpy
+#: program.  Measured with ``repro bench --filter market.`` (the
+#: ``market.exchange`` and ``market.exchange_wide`` kernels): numpy's
+#: per-call overhead dominates up to roughly this width.
+SCALAR_MAX_LANES = 16
 
 
 def refusal_raise(values, factor, floor, cap):
@@ -100,14 +115,37 @@ def earliest(busy, lanes, now, offers=None):
 
     Any object with ``rows`` and ``costs`` arrays is a lane set.  The
     first-occurrence argmin over ascending node ids is the scalar
-    strict-``<`` lowest-id tie-break.
+    strict-``<`` lowest-id tie-break.  Lane sets up to
+    :data:`SCALAR_MAX_LANES` wide run the same arithmetic on Python
+    floats (:func:`_earliest_scalar`).
     """
+    rows = lanes.rows
+    if len(rows) <= SCALAR_MAX_LANES:
+        return _earliest_scalar(
+            busy[rows].tolist(), lanes.costs.tolist(), now, offers
+        )
+    return _earliest_numpy(busy, lanes, now, offers)
+
+
+def _earliest_numpy(busy, lanes, now, offers):
+    """:func:`earliest` as one numpy program (``offers`` a mask)."""
     est = np.maximum(busy[lanes.rows], now)
     est += lanes.costs
     if offers is not None:
         est[~offers] = np.inf
     lane = int(est.argmin())
     return lane, float(est[lane])
+
+
+def _earliest_scalar(busy, costs, now, offers):
+    """:func:`earliest` over per-lane ``busy``/``costs`` lists: the same
+    ``max`` (a tie keeps the busy clock), the same ``+``, and ``min`` +
+    ``index`` as the first-occurrence argmin."""
+    est = [(b if b >= now else now) + c for b, c in zip(busy, costs)]
+    if offers is not None:
+        est = [e if o else np.inf for e, o in zip(est, offers)]
+    finish = min(est)
+    return est.index(finish), finish
 
 
 class Lanes:
@@ -178,19 +216,92 @@ class Exchange:
                 offers[refuse] = passed
         return offers
 
+    def _quote_scalar(self, lanes: Lanes, supply):
+        """:meth:`quote` on Python floats, as a list of offer flags.
+
+        ``supply`` is the lanes' ``R`` as a list.  The same clamp
+        (floor, then cap) and ``!=`` change test; once any price moved,
+        every refuser's max price takes the same keep-or-replace
+        ``maximum``; then the same latch.  State is written back one
+        cell at a time.
+        """
+        offers = [r >= 1.0 for r in supply]
+        if all(offers):
+            return offers
+        refuse = [lane for lane, offer in enumerate(offers) if not offer]
+        rows = lanes.rows.tolist()
+        V, F, epochs = lanes.V, lanes.F, self.epochs
+        prices = V.tolist()
+        factor, floor, cap = self.factor, self.floor, self.cap
+        moved = False
+        for lane in refuse:
+            F[lane] += 1
+            old = prices[lane]
+            new = old * factor
+            if new < floor:
+                new = floor
+            if new > cap:
+                new = cap
+            V[lane] = prices[lane] = new
+            if new != old:
+                epochs[rows[lane]] += 1
+                moved = True
+        threshold = self.threshold
+        if not moved and threshold is None:
+            return offers
+        maxp, locked = self.maxp, self.locked
+        for lane in refuse:
+            row = rows[lane]
+            m = maxp.item(row)
+            if moved and prices[lane] > m:
+                m = maxp[row] = prices[lane]
+            if threshold is not None and not locked.item(row):
+                if m < threshold:
+                    offers[lane] = True
+                else:
+                    locked[row] = True
+        return offers
+
     def __call__(self, lanes: Lanes, now: float) -> Tuple[int, float]:
         """One exchange: ``(lane, finish)`` of the winner (its supply
         consumed, like the scalar accept), else ``(NO_OFFER |
-        SATURATED, inf)``."""
+        SATURATED, inf)``.
+
+        Lane sets up to :data:`SCALAR_MAX_LANES` wide run on Python
+        floats (:meth:`_call_scalar`), wider ones as one numpy program
+        (:meth:`_call_numpy`); both are the same IEEE-754 sequence.
+        """
+        if len(lanes.rows) <= SCALAR_MAX_LANES:
+            return self._call_scalar(lanes, now)
+        return self._call_numpy(lanes, now)
+
+    def _call_numpy(self, lanes: Lanes, now: float) -> Tuple[int, float]:
         offers = self.quote(lanes)
         if not offers.any():
             if bool((lanes.V == self.cap).all()):
                 return SATURATED, np.inf
             return NO_OFFER, np.inf
-        lane, finish = earliest(self.busy, lanes, now, offers)
+        lane, finish = _earliest_numpy(self.busy, lanes, now, offers)
         R = lanes.R
         if R[lane] >= 1.0:
             R[lane] -= 1.0
+            lanes.ACC[lane] += 1
+        return lane, finish
+
+    def _call_scalar(self, lanes: Lanes, now: float) -> Tuple[int, float]:
+        supply = lanes.R.tolist()
+        offers = self._quote_scalar(lanes, supply)
+        if not any(offers):
+            cap = self.cap
+            if all(v == cap for v in lanes.V.tolist()):
+                return SATURATED, np.inf
+            return NO_OFFER, np.inf
+        lane, finish = _earliest_scalar(
+            self.busy[lanes.rows].tolist(), lanes.costs.tolist(), now, offers
+        )
+        left = supply[lane]
+        if left >= 1.0:
+            lanes.R[lane] = left - 1.0
             lanes.ACC[lane] += 1
         return lane, finish
 

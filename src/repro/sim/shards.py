@@ -396,8 +396,10 @@ class _MarketPlane:
     def market_tick(self, now: float, rows: Sequence[Tuple]) -> int:
         """Price ``rows`` in order, replay the winners; refusals pool.
 
-        Each row is ``(qid, class_index, origin, arrival, resub)``.
-        Returns the number of assignments made.
+        Each row is ``(qid, class_index, origin, arrival, resub)``; a
+        refused row pools with ``resub + 1``, the count it carries into
+        its retry at the next boundary.  Returns the number of
+        assignments made.
         """
         pending = self._pending
         assignments: List[Tuple] = []
@@ -405,7 +407,7 @@ class _MarketPlane:
             k = row[1]
             node = self._match(k, now)
             if node is None:
-                pending.append(tuple(row))
+                pending.append((row[0], k, row[2], row[3], row[4] + 1))
             else:
                 assignments.append(
                     (row[0], k, row[2], row[3], row[4], node)
@@ -486,11 +488,7 @@ class _MarketPlane:
         if len(self._ids):
             self._period_solve(now)
         if self._pending:
-            retry = [
-                (qid, class_index, origin, arrival, resub + 1)
-                for qid, class_index, origin, arrival, resub in self._pending
-            ]
-            self._pending = []
+            retry, self._pending = self._pending, []
             self.market_tick(now, retry)
         return len(self._pending)
 
@@ -721,6 +719,11 @@ def _tcp_shard_worker(host: str, port: int, index: int) -> None:
 #: for close acks and exits before terminating whatever is still alive.
 _CLOSE_TIMEOUT_S = 5.0
 
+#: Seconds a tcp :class:`ShardTransport` waits, over all workers
+#: together, for every worker to connect and say hello before it
+#: terminates the pool and raises :class:`TimeoutError`.
+_HANDSHAKE_TIMEOUT_S = 10.0
+
 
 def _left(deadline: float) -> float:
     """Seconds until ``deadline`` (``time.monotonic`` clock), floored at 0."""
@@ -823,12 +826,28 @@ class ShardTransport:
                 shard_inits
             )
             accepted: List[_WireChannel] = []
+            deadline = time.monotonic() + _HANDSHAKE_TIMEOUT_S
             try:
                 for _ in shard_inits:
+                    # Neither a worker that never connects nor a peer
+                    # that never says hello may stall the handshake.
+                    ready = select.select([listener], [], [], _left(deadline))
+                    if not ready[0]:
+                        raise TimeoutError(
+                            "tcp shard handshake: %d of %d workers connected"
+                            " within %.1f s"
+                            % (len(accepted), len(shard_inits),
+                               _HANDSHAKE_TIMEOUT_S)
+                        )
                     sock, _addr = listener.accept()
                     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                     channel = _WireChannel(sock)
                     accepted.append(channel)
+                    if not channel.poll(_left(deadline)):
+                        raise TimeoutError(
+                            "tcp shard handshake: no hello within %.1f s"
+                            % _HANDSHAKE_TIMEOUT_S
+                        )
                     channels[_hello_index(channel.recv(), channels)] = channel
             except BaseException:
                 # A mis-wired pool must not outlive the failed handshake.

@@ -11,7 +11,12 @@ Its contract is bit-identity with the scalar QA-NT code it batches:
 * :class:`~repro.core.market_kernel.Exchange` equals a loop of
   :meth:`QantPricingAgent.quote` calls followed by the lowest-id
   earliest-completion pick: offers, prices, refusal/accept counts, max
-  prices, latches, price epochs, the winner and the saturation flag;
+  prices, latches, price epochs, the winner and the saturation flag —
+  on lane sets either side of ``SCALAR_MAX_LANES``, so both the scalar
+  and the numpy form are pinned, and the two forms agree bit for bit
+  on the same state at the crossover;
+* :func:`~repro.core.market_kernel.earliest` equals the scalar
+  strict-``<`` lowest-id pick, either side of the crossover;
 * :func:`~repro.core.market_kernel.decay` equals ``end_period``'s
   steps 12–14.
 """
@@ -28,11 +33,13 @@ from repro.core.market_kernel import (
     BATCHED_METHODS,
     NO_OFFER,
     SATURATED,
+    SCALAR_MAX_LANES,
     Exchange,
     Lanes,
     SupplySolver,
     carry_round,
     decay,
+    earliest,
 )
 from repro.core.market import PriceVector
 from repro.core.qant import QantParameters, QantPricingAgent
@@ -118,7 +125,8 @@ def test_solver_layout_is_compact_and_rejects_exact():
 def _exchange_case(draw):
     num_classes = draw(st.integers(1, 3))
     k = draw(st.integers(0, num_classes - 1))
-    n = draw(st.integers(1, 5))
+    # Both sides of the scalar/numpy crossover.
+    n = draw(st.integers(1, 2 * SCALAR_MAX_LANES + 1))
     agents = []
     for __ in range(n):
         costs = [draw(st.sampled_from([50.0, 100.0, 150.0]))
@@ -233,6 +241,97 @@ def test_exchange_matches_scalar_quote_loop(case):
         [agent.bid_state()[0][k] for agent in agents]
     )
     assert lanes.ACC.tolist() == [agent._accepted[k] for agent in agents]
+
+
+def _crossover_state(width, state):
+    """An Exchange and lanes in ``state``, rows interleaved with unused
+    ones so lane index and market row differ."""
+    cap = 10.0
+    threshold = None if state in ("all-refuse", "saturated") else 2.0
+    busy = np.array([float((37 * i) % 250) for i in range(2 * width + 1)])
+    market = Exchange(busy, 1.1, 1e-3, cap, threshold)
+    market.maxp[:] = 1.0
+    lanes = Lanes(
+        np.arange(1, 2 * width + 1, 2, dtype=np.intp),
+        np.array([50.0 + 25.0 * (i % 4) for i in range(width)]),
+    )
+    lanes.R = np.array([[0.0, 0.5, 1.0, 3.0][i % 4] for i in range(width)])
+    lanes.V = np.array([[0.5, 1.0, 1.9, 9.5][i % 4] for i in range(width)])
+    lanes.F = np.arange(width, dtype=np.int64) % 3
+    lanes.ACC = np.arange(width, dtype=np.int64) % 2
+    if state == "saturated":
+        lanes.R[:] = 0.0
+        lanes.V[:] = cap
+        market.maxp[:] = cap
+    elif state == "all-refuse":
+        lanes.R[:] = 0.5
+    elif state == "latched":
+        # Every refuser latched or already over the threshold: only
+        # lanes with supply offer.
+        market.locked[lanes.rows[::2]] = True
+        market.maxp[lanes.rows[1::2]] = 2.5
+    return market, lanes
+
+
+@pytest.mark.parametrize("width", [SCALAR_MAX_LANES, SCALAR_MAX_LANES + 1])
+@pytest.mark.parametrize(
+    "state", ["offers", "latched", "all-refuse", "saturated"]
+)
+def test_scalar_and_numpy_exchange_agree_at_the_crossover(width, state):
+    """Both forms of one exchange, on the same lane state, either side
+    of the width that switches between them."""
+    outcomes = []
+    for form in ("_call_scalar", "_call_numpy"):
+        market, lanes = _crossover_state(width, state)
+        result = getattr(market, form)(lanes, 40.0)
+        outcomes.append(
+            (
+                result,
+                _bits(lanes.V), _bits(lanes.R),
+                lanes.F.tolist(), lanes.ACC.tolist(),
+                _bits(market.maxp), market.locked.tolist(),
+                market.epochs.tolist(),
+            )
+        )
+    assert outcomes[0] == outcomes[1]
+    lane = outcomes[0][0][0]
+    if state == "saturated":
+        assert lane == SATURATED
+    elif state == "all-refuse":
+        assert lane == NO_OFFER
+    else:
+        assert lane >= 0
+
+
+@given(
+    width=st.integers(1, 2 * SCALAR_MAX_LANES + 1),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_earliest_matches_scalar_strict_less_pick(width, data):
+    """Ties are common (few distinct values): the lowest offering lane
+    must win them, whichever form the width selects."""
+    busy = np.array(
+        data.draw(st.lists(st.sampled_from([0.0, 40.0, 100.0]),
+                           min_size=width, max_size=width))
+    )
+    costs = data.draw(st.lists(st.sampled_from([50.0, 60.0, 100.0]),
+                               min_size=width, max_size=width))
+    now = data.draw(st.sampled_from([0.0, 40.0, 70.0]))
+    offers = data.draw(
+        st.none()
+        | st.lists(st.booleans(), min_size=width, max_size=width).filter(any)
+    )
+    lanes = Lanes(np.arange(width, dtype=np.intp), np.array(costs))
+    chosen, best = -1, math.inf
+    for i in range(width):
+        if offers is None or offers[i]:
+            estimate = max(busy[i], now) + costs[i]
+            if estimate < best:
+                chosen, best = i, estimate
+    mask = None if offers is None else np.array(offers)
+    lane, finish = earliest(busy, lanes, now, mask)
+    assert (lane, _bits([finish])) == (chosen, _bits([best]))
 
 
 @given(

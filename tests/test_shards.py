@@ -617,6 +617,38 @@ def test_tcp_duplicate_hello_fails_fast_and_reaps_workers(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def _vanishing_tcp_worker(host, port, index):
+    """A tcp worker that exits before it ever connects."""
+
+
+def _silent_tcp_worker(host, port, index):
+    """A tcp worker that connects and never says hello."""
+    sock = socket.create_connection((host, port))
+    time.sleep(60.0)
+    sock.close()
+
+
+@pytest.mark.parametrize(
+    "worker, match",
+    [
+        (_vanishing_tcp_worker, "0 of 2 workers connected"),
+        (_silent_tcp_worker, "no hello"),
+    ],
+)
+def test_tcp_handshake_is_bounded_and_reaps_workers(
+    worker, match, monkeypatch
+):
+    """A worker that dies before connecting, or a peer that never says
+    hello, fails the handshake within its budget; no child survives."""
+    monkeypatch.setattr(shards_module, "_HANDSHAKE_TIMEOUT_S", 0.5)
+    monkeypatch.setattr(shards_module, "_tcp_shard_worker", worker)
+    started = time.perf_counter()
+    with pytest.raises(TimeoutError, match=match):
+        ShardTransport([{}, {}], mode="tcp")
+    assert time.perf_counter() - started < 0.5 + 2.0
+    assert multiprocessing.active_children() == []
+
+
 # ---------------------------------------------------------------------------
 # the local-market golden (shard/mode/R invariant by construction)
 
